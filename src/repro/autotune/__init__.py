@@ -19,13 +19,6 @@ from repro.autotune.assembly import (
     select_assembly,
     clear_decision_cache,
 )
-from repro.autotune.solver import (
-    SolverDecision,
-    measure_solvers,
-    select_solver,
-    cached_solver_decisions,
-    clear_solver_cache,
-)
 from repro.autotune.serving import (
     ServingDecision,
     measure_serving,
@@ -66,11 +59,6 @@ __all__ = [
     "select_serving",
     "cached_serving_decisions",
     "clear_serving_cache",
-    "SolverDecision",
-    "measure_solvers",
-    "select_solver",
-    "cached_solver_decisions",
-    "clear_solver_cache",
     "SearchResult",
     "exhaustive_search",
     "WS_CANDIDATES",

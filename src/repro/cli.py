@@ -8,7 +8,6 @@ Usage::
     repro-als all                  # everything, in paper order
     repro-als tune gpu NTFX        # exhaustive variant search (§III-D)
     repro-als tune-assembly ML1M   # measure scatter vs binned host assembly
-    repro-als tune-solver ML1M     # measure the S3 solver variants
     repro-als tune-blocks ML1M --k 64
                                    # measure iALS++ subspace block widths
     repro-als tune-serving ML1M    # measure serving tile size x dtype
@@ -64,7 +63,8 @@ The host S1/S2 assembly variant is selectable everywhere via
 ``--assembly-dtype {float32,float64}`` (or the ``REPRO_ASSEMBLY``,
 ``REPRO_TILE_NNZ``, ``REPRO_ASSEMBLY_DTYPE`` environment variables).
 The S3 solve and the half-sweep parallelism are selectable the same
-way: ``--solver {cholesky,gaussian,lapack,auto}`` (``REPRO_SOLVER``)
+way: ``--solver {cholesky,gaussian,lapack}`` (``REPRO_SOLVER``; default
+``lapack``)
 and ``--workers {auto,N}`` (``REPRO_WORKERS``).  Training can descend
 on column subspaces instead of full k-wide rows:
 ``--block-size {d,auto}`` picks the iALS++ block width (``auto`` =
@@ -89,6 +89,7 @@ from repro.datasets.catalog import dataset_by_name
 from repro.datasets.synthetic import degree_sequences
 from repro.kernels.opencl_source import generate_program
 from repro.kernels.variants import recommended_variant
+from repro.linalg.solvers import SOLVER_MODES
 
 __all__ = ["main"]
 
@@ -147,38 +148,6 @@ def _run_tune_assembly(ns: argparse.Namespace) -> int:
     print(f"  binned  {decision.binned_seconds * 1e3:9.2f} ms")
     print(f"  scatter {decision.scatter_seconds * 1e3:9.2f} ms")
     print(f"best: {decision.mode} ({decision.speedup:.2f}x over the other)")
-    return 0
-
-
-def _run_tune_solver(ns: argparse.Namespace) -> int:
-    if len(ns.args) > 1:
-        print("usage: repro-als tune-solver [<dataset>] [--k K] [--batch N]",
-              file=sys.stderr)
-        return 2
-    from repro.autotune.solver import measure_solvers
-
-    batch = ns.batch
-    label = f"batch={batch}" if batch is not None else None
-    if ns.args:
-        try:
-            spec = dataset_by_name(ns.args[0])
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if batch is None:
-            batch = spec.m  # one system per (occupied) row of the sweep
-        label = f"{spec.abbr} (m={spec.m}, batch={batch})"
-    elif batch is None:
-        batch = 4096
-        label = f"batch={batch}"
-    decision = measure_solvers(k=ns.k, batch=batch, seed=ns.seed)
-    print(f"S3 solver variants for {label}, k={ns.k}, "
-          f"measured on a {decision.probe_batch}-system probe:")
-    for name, seconds in sorted(decision.seconds.items(), key=lambda kv: kv[1]):
-        per = seconds / decision.probe_batch * 1e6
-        print(f"  {name:9s} {seconds * 1e3:9.2f} ms  ({per:8.2f} us/system)")
-    print(f"best: {decision.solver} ({decision.speedup:.2f}x over the slowest); "
-          f"cached for (k={decision.k}, batch<={decision.batch_bucket})")
     return 0
 
 
@@ -699,14 +668,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "command",
         help="experiment id (table1, fig1, fig6..fig10, ksweep), 'all', 'list', "
-        "'summary', 'tune', 'tune-assembly', 'tune-solver', 'tune-serving', "
+        "'summary', 'tune', 'tune-assembly', 'tune-serving', "
         "'tune-sharding', 'tune-blocks', 'train', 'recommend', 'emit-cl', "
         "'profile', 'perf-gate', 'grid', 'serve-metrics' or 'serve'",
     )
     parser.add_argument(
         "args", nargs="*",
         help="for tune: <device> <dataset>; for profile/tune-assembly/"
-        "tune-solver/tune-serving/recommend: <dataset>; for train/"
+        "tune-serving/recommend: <dataset>; for train/"
         "tune-sharding: <dataset> or a shard-store directory; for "
         "perf-gate: benchmark record JSON files; for grid: "
         "run|status|export|reset-errors plus an optional config "
@@ -757,17 +726,13 @@ def main(argv: list[str] | None = None) -> int:
         help="assembly compute precision (accumulation stays float64)",
     )
     parser.add_argument(
-        "--solver", default=None, choices=("cholesky", "gaussian", "lapack", "auto"),
-        help="S3 batched-solve code variant (default: cholesky reference)",
+        "--solver", default=None, choices=SOLVER_MODES,
+        help="S3 batched-solve code variant (default: lapack)",
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",
         help="half-sweep parallelism: 'auto' = one worker per core, or a "
         "thread count (default: serial)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None,
-        help="tune-solver: systems per batched solve (default: dataset rows)",
     )
     parser.add_argument(
         "--block-size", default=None, metavar="D",
@@ -974,8 +939,6 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return _run_tune(ns.args[0], ns.args[1], ns.k)
     if ns.command == "tune-assembly":
         return _run_tune_assembly(ns)
-    if ns.command == "tune-solver":
-        return _run_tune_solver(ns)
     if ns.command == "tune-serving":
         return _run_tune_serving(ns)
     if ns.command == "tune-sharding":

@@ -15,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.init import init_factors
-from repro.core.loss import regularized_loss, rmse
+from repro.core.loss import loss_and_rmse, rmse
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
     make_blocks,
@@ -60,7 +60,7 @@ class ALSConfig:
     iterations: int = 5  # sweeps (paper's benchmark setting)
     tol: float = 0.0  # relative-improvement stopping threshold
     seed: int = 0
-    cholesky: bool = True  # legacy S3 toggle (§V-C); `solver` wins when set
+    cholesky: bool = True  # legacy S3 toggle (§V-C): False = Gaussian; `solver` wins
     init_scale: float = 0.1
     track_loss: bool = True  # compute Eq. 2 after every iteration
     # S1/S2 assembly code variant (§III-D analogue); None defers to the
@@ -70,7 +70,7 @@ class ALSConfig:
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
     # S3 solver code variant; None defers to configure_solver /
     # REPRO_SOLVER, then the legacy `cholesky` boolean above.
-    solver: str | None = None  # "cholesky" | "gaussian" | "lapack" | "auto"
+    solver: str | None = None  # "lapack" | "cholesky" | "gaussian"
     # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
     # threads; None defers to configure_workers / REPRO_WORKERS (serial).
     workers: int | str | None = None
@@ -290,13 +290,14 @@ def train_als(
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:
                         with span("als.loss", iteration=it):
+                            loss, train_rmse = loss_and_rmse(
+                                loss_view, X, Y, config.lam
+                            )
                             model.history.append(
                                 IterationStats(
                                     iteration=it,
-                                    loss=regularized_loss(
-                                        loss_view, X, Y, config.lam
-                                    ),
-                                    train_rmse=rmse(loss_view, X, Y),
+                                    loss=loss,
+                                    train_rmse=train_rmse,
                                     validation_rmse=(
                                         rmse(validation, X, Y)
                                         if validation is not None

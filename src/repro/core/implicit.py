@@ -23,12 +23,14 @@ machinery the explicit path uses:
   ``(nnz, k, k)`` intermediate is gone and peak scratch is bounded by
   the ``tile_nnz`` budget / ``REPRO_TILE_NNZ``);
 * S3 goes through the :mod:`repro.linalg.solvers` registry (LAPACK-class
-  batched Cholesky available), with the shared ``YᵀY`` broadcast kept;
+  batched Cholesky by default), with the shared ``YᵀY`` broadcast kept;
 * half-sweeps shard over :class:`repro.parallel.SweepExecutor` with the
   same bitwise-equal-to-serial guarantee as explicit ALS (weights derive
   from each shard's own values);
-* instrumented runs emit ``als.implicit.s1``/``s2``/``s3`` spans plus
-  the ``assembly.implicit.peak_tile_bytes`` gauge.
+* instrumented runs emit ``als.implicit.s1``/``s3`` spans (the binned
+  S1 span carries the fused S2; the scatter reference adds
+  ``als.implicit.s2``) plus the ``assembly.implicit.peak_tile_bytes``
+  gauge.
 
 The retained scatter reference is one knob away (``assembly="scatter"``)
 for parity tests and ``benchmarks/bench_implicit.py``.
@@ -44,6 +46,7 @@ import numpy as np
 
 from repro.core.als import FACTOR_MODES, IterationStats, training_views
 from repro.core.init import init_factors
+from repro.core.loss import entry_predictions
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
     make_blocks,
@@ -91,7 +94,7 @@ class ImplicitConfig:
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
     # S3 solver code variant; None defers to configure_solver / REPRO_SOLVER.
-    solver: str | None = None  # "cholesky" | "gaussian" | "lapack" | "auto"
+    solver: str | None = None  # "lapack" | "cholesky" | "gaussian"
     # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
     # threads; None defers to configure_workers / REPRO_WORKERS (serial).
     workers: int | str | None = None
@@ -228,12 +231,12 @@ def _weighted_loss(
         fit = 0.0
         for sp, mat in ratings.iter_resident(prefetch=False):
             rows = sp.row_start + mat.expanded_rows()
-            pred = np.einsum("ij,ij->i", X[rows], Y[mat.col_idx])
+            pred = entry_predictions(X, rows, Y, mat.col_idx)
             conf = 1.0 + alpha * mat.value.astype(np.float64)
             err = 1.0 - pred
             fit += float(conf @ (err * err))
     else:
-        pred = np.einsum("ij,ij->i", X[ratings.row], Y[ratings.col])
+        pred = entry_predictions(X, ratings.row, Y, ratings.col)
         conf = 1.0 + alpha * ratings.value.astype(np.float64)
         err = 1.0 - pred
         fit = float(conf @ (err * err))

@@ -30,14 +30,6 @@ from repro.sparse.csr import CSRMatrix
 __all__ = ["fast_half_sweep", "fast_iteration", "sweep_occupied"]
 
 
-def _resolve_auto(solver_name: str, k: int, batch: int) -> str:
-    if solver_name != "auto":
-        return solver_name
-    from repro.autotune.solver import select_solver
-
-    return select_solver(k, batch)
-
-
 def sweep_occupied(
     R: CSRMatrix,
     Y: np.ndarray,
@@ -172,7 +164,7 @@ def sweep_occupied(
         if blocked:
             obs_metrics.inc("subspace.block_updates")
             obs_metrics.set_gauge("subspace.block_size", d)
-    solver_name = _resolve_auto(resolve_solver(solver, cholesky), d, rows.size)
+    solver_name = resolve_solver(solver, cholesky)
     s3_name = "als.implicit.s3" if implicit_alpha is not None else "als.s3.solve"
     with span(s3_name, stage="S3", solver=solver_name, k=d, batch=rows.size):
         obs_metrics.inc(f"solver.{solver_name}.calls")
@@ -197,8 +189,8 @@ def fast_half_sweep(
     ``omegaSize > 0`` guard does: they keep their previous value
     (``X_prev``), or zero when no previous factors are given.
 
-    ``solver`` selects the S3 variant (``cholesky``/``gaussian``/
-    ``lapack``/``auto``); the legacy ``cholesky`` boolean is honored when
+    ``solver`` selects the S3 variant (``lapack``/``cholesky``/
+    ``gaussian``); the legacy ``cholesky`` boolean is honored when
     ``solver`` is unset.  ``assembly``/``tile_nnz``/``compute_dtype``
     select the S1/S2 code variant (see :func:`batched_normal_equations`);
     ``None`` defers to the configured/environment defaults.

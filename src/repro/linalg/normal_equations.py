@@ -22,10 +22,12 @@ variants:
   dense ``(rows, width, k)`` block of ``Y`` and reduces it with one
   batched GEMM (``Gᵀ G``), tiled so peak scratch never exceeds an
   nnz budget — the tile budget plays the role of the paper's bounded
-  local-memory working set.  S2 runs as a ``bincount`` segment-sum
-  (:meth:`CSRMatrix.matmat`).  An optional float32 compute mode mirrors
-  the paper's single-precision kernels (§IV); accumulation into the
-  returned ``A``/``b`` stays float64.
+  local-memory working set.  S2 is fused into S1: each tile's RHS is
+  reduced from the same gathered block (``Gᵀ r``), the way the paper's
+  local-memory variant stages ``Y_Ω`` once for both steps, so ``Y`` is
+  read once per half-sweep.  An optional float32 compute mode mirrors
+  the paper's single-precision kernels (§IV); the RHS reduction and
+  the accumulation into the returned ``A``/``b`` stay float64.
 
 ``batched_normal_equations`` dispatches between them (explicit argument >
 :func:`configure_assembly` > ``REPRO_ASSEMBLY``-style env vars >
@@ -42,7 +44,8 @@ the implicit trainer rides the same degree-binned, tile-budgeted
 machinery instead of a private ``(nnz, k, k)`` scatter kernel.  Weighted
 calls report under the ``als.implicit.s1``/``als.implicit.s2`` span
 names (stage attrs unchanged, so the hotspot table folds them into the
-same S1/S2/S3 decomposition).
+same S1/S2/S3 decomposition; the binned S1 span carries
+``rhs_fused=True`` and no S2 span is emitted).
 """
 
 from __future__ import annotations
@@ -221,9 +224,11 @@ def tile_bytes_bound(
     ``tile_nnz / max(k, width)`` rows, so the dominant terms are the
     ``(rows, width, k)`` gather and the ``(rows, k, k)`` GEMM output,
     both bounded by ``tile_nnz · k`` elements; index/mask arrays add
-    ``tile_nnz`` int64/int64/bool/compute entries.  The weighted
-    (implicit) kernel adds one more ``tile_nnz · k`` operand (the
-    weight-scaled gather) and the gathered weights themselves.  Tests
+    ``tile_nnz`` int64/int64/bool/compute entries, and the fused RHS
+    ``tile_nnz`` float64 coefficients plus a ``(rows, k)`` float64
+    block.  The weighted (implicit) kernel adds one more
+    ``tile_nnz · k`` operand (the weight-scaled gather) and the gathered
+    weights themselves.  Tests
     assert the measured ``assembly.peak_tile_bytes`` gauge against this
     formula.
     """
@@ -233,7 +238,8 @@ def tile_bytes_bound(
     gemm_out = tile_nnz * k * cs  # (rows, k, k) with rows <= tile_nnz / k
     indices = tile_nnz * 16  # position + column gather, int64 each
     mask = tile_nnz * (1 + cs)  # bool validity + its compute-dtype cast
-    bound = gather + gemm_out + indices + mask
+    rhs = tile_nnz * 16  # float64 RHS coefficients + (rows, k) RHS block
+    bound = gather + gemm_out + indices + mask + rhs
     if weighted:
         bound += tile_nnz * k * cs  # Gw, the weight-scaled gather
         bound += 2 * tile_nnz * cs  # gathered weights + their masked copy
@@ -349,8 +355,14 @@ def binned_normal_equations(
     GEMM output obeys the same budget), which bounds peak scratch the way
     the paper's local-memory blocking bounds a work-group's footprint.
 
-    ``compute_dtype=float32`` runs the gathers and GEMMs in single
-    precision (the paper's device arithmetic); the returned ``A``/``b``
+    S2 is fused: each tile's RHS ``Gᵀ r`` is reduced from the block S1
+    has just gathered, instead of a second pass over ``Y`` — the paper's
+    local-memory staging of ``Y_Ω`` shared by both steps.  The RHS
+    coefficients are the stored values, or ``rhs_nnz_value`` when given.
+
+    ``compute_dtype=float32`` runs the gathers and Gram GEMMs in single
+    precision (the paper's device arithmetic); the RHS reduction runs
+    in float64 on the gathered values, and the returned ``A``/``b``
     accumulate in float64 either way.
 
     ``nnz_weight`` turns the Gram sum into ``Σ w_e · y_e y_eᵀ`` by
@@ -367,17 +379,21 @@ def binned_normal_equations(
     w_all = _check_nnz_vector(nnz_weight, R.nnz, "nnz_weight")
     rv = _check_nnz_vector(rhs_nnz_value, R.nnz, "rhs_nnz_value")
     wc = None if w_all is None else w_all.astype(cdtype)
-    s1_name, s2_name = _span_names(w_all is not None)
+    s1_name, _ = _span_names(w_all is not None)
     enabled = is_enabled()
     peak_tile_bytes = 0
     tiles = 0
-    with span(s1_name, stage="S1", nnz=R.nnz, k=k, mode="binned") as s1:
+    with span(
+        s1_name, stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
+    ) as s1:
         # Bin building and the output allocation belong to S1's measured
         # cost (the bins are cached on R, so sweeps after the first get
         # them for free).
         bins = R.degree_bins(growth)
         s1.set(bins=len(bins))
         A = np.zeros((m, k, k), dtype=np.float64)
+        b = np.zeros((m, k), dtype=np.float64)
+        rvals = R.value.astype(np.float64) if rv is None else rv
         for b_ in bins:
             width = b_.width
             rows_per_tile = max(1, tile // max(width, k))
@@ -396,6 +412,7 @@ def binned_normal_equations(
                     starts_t = b_.starts[r0:r1]
                     len_t = b_.lengths[r0:r1]
                     acc = None
+                    bacc = None
                     for w0 in range(0, width, seg):
                         w1 = min(w0 + seg, width)
                         offs = np.arange(w0, w1, dtype=np.int64)
@@ -413,6 +430,13 @@ def binned_normal_equations(
                             vmask = None
                         cols = R.col_idx[idx]
                         G = Yc[cols]
+                        # Fused S2: the RHS reduces the same gathered block
+                        # (float64 arithmetic even on a float32 G).
+                        rt = rvals[idx]
+                        if vmask is not None:
+                            rt *= valid
+                        part = np.einsum("rw,rwk->rk", rt, G)
+                        tile_bytes += rt.nbytes + part.nbytes
                         if wc is None:
                             if vmask is not None:
                                 G *= vmask[:, :, None]
@@ -438,20 +462,17 @@ def binned_normal_equations(
                             # float32 compute mode; single-segment tiles
                             # upcast once on assignment into A below.
                             acc = contrib if width <= seg else contrib.astype(np.float64)
+                            bacc = part
                         else:
                             acc += contrib
+                            bacc += part
                         tiles += 1
                         if tile_bytes > peak_tile_bytes:
                             peak_tile_bytes = tile_bytes
                     A[rows_t] = acc
+                    b[rows_t] = bacc
         d = _diag(k)
         A[:, d, d] += lam
-    with span(s2_name, stage="S2", nnz=R.nnz, k=k, mode="binned"):
-        # S2 is exactly the sparse product R @ Y (with the per-nnz RHS
-        # coefficients substituted for the stored values when given);
-        # matmat's bincount segment-sum does it in k C-speed passes with
-        # O(nnz) scratch.
-        b = R.matmat(Yc, values=rv)
     if enabled:
         obs_metrics.set_gauge("assembly.bins", len(bins))
         obs_metrics.set_gauge("assembly.peak_tile_bytes", peak_tile_bytes)

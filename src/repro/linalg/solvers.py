@@ -4,27 +4,28 @@ The paper's S3 is the per-row ``smat x = svec`` solve; §V-C compares a
 Gaussian-elimination kernel against the Cholesky method and keeps the
 latter.  This module is where those code variants live on the host side:
 
+* ``lapack`` — the default.  The whole occupied ``(batch, k, k)`` stack
+  is factored by NumPy's native batched ``np.linalg.cholesky`` (one
+  gufunc call into LAPACK ``dpotrf``) and solved with two blocked
+  batched triangular substitutions whose k² work rides on O(k/16)
+  GEMMs.  It keeps every check the reference makes: a system with NaN
+  or inf entries raises :class:`CholeskyError` (``dpotrf`` itself lets
+  NaN through, so the factor's diagonal is checked).  When the batched factorization
+  rejects the stack, the failing systems are isolated per-system (the
+  paper's SPD guarantee makes this a never-in-theory robustness path)
+  and recovered with a least-squares solve, so one finite indefinite
+  matrix no longer aborts the whole batch.
 * ``cholesky`` — the from-scratch reference (:mod:`repro.linalg.cholesky`).
   Loops over the k columns with Python-level einsum dispatches: faithful
   to the paper's hand-written kernel, but ~3·k interpreter round-trips
-  per half-sweep.
+  per half-sweep.  Kept as the test oracle.
 * ``gaussian`` — from-scratch LU with partial pivoting, the §V-C
   comparison point (~2× the flops of Cholesky on SPD systems).
-* ``lapack`` — the whole occupied ``(batch, k, k)`` stack factored by
-  NumPy's native batched ``np.linalg.cholesky`` (one gufunc call into
-  LAPACK ``dpotrf``) and solved with two blocked batched triangular
-  substitutions whose k² work rides on O(k/16) GEMMs.  When the batched
-  factorization rejects the stack, the failing systems are isolated
-  per-system (the paper's SPD guarantee makes this a never-in-theory
-  robustness path) and recovered with a least-squares solve, so one
-  indefinite matrix no longer aborts the whole batch.
-* ``auto`` — defer to the empirical selector in
-  :mod:`repro.autotune.solver`, the §III-D measure-then-pick loop
-  applied to S3.
 
 ``resolve_solver`` implements the usual precedence: explicit argument >
 :func:`configure_solver` (CLI) > ``REPRO_SOLVER`` environment > the
-legacy ``cholesky`` boolean of the sweep API.
+legacy ``cholesky`` boolean of the sweep API (``lapack`` when true,
+``gaussian`` when false).
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.linalg.cholesky import CholeskyError, as_float64_stack
+from repro.linalg.cholesky import (
+    CholeskyError,
+    as_float64_stack,
+    batched_cholesky_solve,
+)
 from repro.linalg.gaussian import batched_gaussian_solve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled
@@ -50,9 +55,6 @@ __all__ = [
 ]
 
 _ENV_SOLVER = "REPRO_SOLVER"
-
-#: Names accepted by ``ALSConfig.solver`` / ``--solver`` / ``REPRO_SOLVER``.
-SOLVER_MODES = ("cholesky", "gaussian", "lapack", "auto")
 
 # Process-wide default installed by configure_solver (the CLI flag lands
 # here); ``None`` falls through to the environment, then the legacy bool.
@@ -74,8 +76,8 @@ def resolve_solver(solver: str | None = None, cholesky: bool = True) -> str:
     """The effective solver name for a sweep call.
 
     Precedence: explicit ``solver`` > :func:`configure_solver` >
-    ``REPRO_SOLVER`` > the legacy ``cholesky`` boolean ("cholesky" when
-    true, "gaussian" when false).
+    ``REPRO_SOLVER`` > the legacy ``cholesky`` boolean ("lapack" — the
+    batched LAPACK Cholesky — when true, "gaussian" when false).
     """
     if solver is not None:
         return _validate_solver(solver)
@@ -84,24 +86,57 @@ def resolve_solver(solver: str | None = None, cholesky: bool = True) -> str:
     env = os.environ.get(_ENV_SOLVER)
     if env:
         return _validate_solver(env)
-    return "cholesky" if cholesky else "gaussian"
+    return "lapack" if cholesky else "gaussian"
 
 
 def lapack_cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Batched lower-Cholesky via LAPACK, with the reference error type.
 
     Same contract as :func:`repro.linalg.cholesky.batched_cholesky_factor`
-    (raises :class:`CholeskyError` naming the first offending system) but
-    one ``dpotrf`` gufunc call for the whole stack.
+    (raises :class:`CholeskyError` naming the first offending system,
+    non-finite input included) but one ``dpotrf`` gufunc call for the
+    whole stack.
     """
     a = as_float64_stack(a, 3)
     if a.shape[1] != a.shape[2]:
         raise ValueError("input must have shape (batch, k, k)")
     try:
-        return np.linalg.cholesky(a)
+        L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        idx = int(np.nonzero(_indefinite_mask(a))[0][0])
-        raise CholeskyError(f"matrix {idx} not positive definite") from None
+        raise _rejection(a) from None
+    if not _finite_diagonal(L):
+        raise _rejection(a)
+    return L
+
+
+def _finite_diagonal(L: np.ndarray) -> bool:
+    """Whether every factor in the stack has a finite diagonal.
+
+    ``dpotrf``'s pivot test (``ajj <= 0``) is false for NaN, so a NaN in
+    a system's lower triangle comes back as a NaN factor instead of an
+    error.  Any non-finite entry in row i of the lower triangle reaches
+    ``L[i, i]`` through the pivot's sum of squares, so this O(batch·k)
+    check catches every such system.
+    """
+    return bool(np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all())
+
+
+def _non_finite(i: int) -> CholeskyError:
+    return CholeskyError(f"matrix {i} has non-finite entries")
+
+
+def _rejection(a: np.ndarray) -> CholeskyError:
+    """The reference's error for the first system the factorization rejects."""
+    for i, ai in enumerate(a):
+        if not np.isfinite(np.tril(ai)).all():
+            return _non_finite(i)
+        try:
+            L = np.linalg.cholesky(ai)
+        except np.linalg.LinAlgError:
+            return CholeskyError(f"matrix {i} not positive definite")
+        if not _finite_diagonal(L):
+            return CholeskyError(f"matrix {i} not positive definite")
+    return CholeskyError("stack not positive definite")
 
 
 def _indefinite_mask(a: np.ndarray) -> np.ndarray:
@@ -164,10 +199,12 @@ def batched_lapack_solve(
 
     ``fallback=True`` (the sweep default) degrades gracefully when the
     batched factorization rejects the stack: PD systems are still solved
-    through their Cholesky factors, and the indefinite ones fall back to
-    a per-system least-squares solve (counted in the
+    through their Cholesky factors, and the finite indefinite ones fall
+    back to a per-system least-squares solve (counted in the
     ``solver.lapack.fallback_systems`` metric).  ``fallback=False``
     raises :class:`CholeskyError` like the reference implementation.
+    A system with non-finite entries raises :class:`CholeskyError` in
+    both modes, as the reference does.
     """
     a = as_float64_stack(a, 3)
     b = as_float64_stack(b, 2, "rhs")
@@ -176,11 +213,10 @@ def batched_lapack_solve(
     if b.shape[0] != a.shape[0] or b.shape[1] != a.shape[1]:
         raise ValueError("rhs must have shape (batch, k)")
     try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+        L = lapack_cholesky_factor(a)
+    except CholeskyError:
         if not fallback:
-            idx = int(np.nonzero(_indefinite_mask(a))[0][0])
-            raise CholeskyError(f"matrix {idx} not positive definite") from None
+            raise
         return _solve_with_fallback(a, b)
     return _triangular_solve(L, b)
 
@@ -188,9 +224,19 @@ def batched_lapack_solve(
 def _solve_with_fallback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bad = _indefinite_mask(a)
     good = ~bad
+    L = np.linalg.cholesky(a[good]) if good.any() else None
+    # Non-finite systems raise rather than reach lstsq (which fails with
+    # "SVD did not converge" after LAPACK noise on stderr) or return the
+    # NaN factor dpotrf accepted.
+    non_finite = np.zeros(a.shape[0], dtype=bool)
+    non_finite[bad] = ~np.isfinite(a[bad]).all(axis=(1, 2))
+    if L is not None:
+        non_finite[good] = ~np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
+    if non_finite.any():
+        raise _non_finite(int(np.argmax(non_finite)))
     x = np.empty_like(b)
-    if good.any():
-        x[good] = _triangular_solve(np.linalg.cholesky(a[good]), b[good])
+    if L is not None:
+        x[good] = _triangular_solve(L, b[good])
     for i in np.nonzero(bad)[0]:
         x[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
     if is_enabled():
@@ -198,25 +244,19 @@ def _solve_with_fallback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _reference_cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Imported lazily at registry-build time below to avoid a cycle with
-    # repro.linalg.cholesky's own import of this module (there is none
-    # today; the indirection just keeps the table flat).
-    from repro.linalg.cholesky import batched_cholesky_solve
-
-    return batched_cholesky_solve(a, b)
-
-
 #: name -> batched solve ``(A, b) -> x`` over ``(batch, k, k)`` stacks.
 SOLVERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "cholesky": _reference_cholesky,
+    "cholesky": batched_cholesky_solve,
     "gaussian": batched_gaussian_solve,
     "lapack": batched_lapack_solve,
 }
 
+#: Names accepted by ``ALSConfig.solver`` / ``--solver`` / ``REPRO_SOLVER``.
+SOLVER_MODES = tuple(SOLVERS)
+
 
 def solver_fn(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The batched solve for a concrete (non-``auto``) solver name."""
+    """The batched solve for a solver name."""
     try:
         return SOLVERS[name]
     except KeyError:

@@ -5,6 +5,8 @@ the Fig. 8 decomposition from the *cost model*): instrumented runs tag
 their stage spans with ``stage="S1" | "S2" | "S3"``, and this module
 folds the collected records into the same three-way table, plus a
 generic top-N span ranking for everything that is not an ALS stage.
+The binned assembly computes S2 inside S1's gather (its S1 spans carry
+``rhs_fused=True``); such runs report one "S1 (+S2)" row and no S2 row.
 """
 
 from __future__ import annotations
@@ -35,11 +37,19 @@ SWEEP_SPAN = "als.half_sweep"
 
 @dataclass(frozen=True)
 class StageStat:
-    """Aggregate of one ALS stage over a run."""
+    """Aggregate of one ALS stage over a run.
+
+    ``rhs_fused`` marks an S1 aggregate that includes the fused S2 work.
+    """
 
     stage: str
     calls: int
     seconds: float
+    rhs_fused: bool = False
+
+    @property
+    def label(self) -> str:
+        return f"{self.stage} (+S2)" if self.rhs_fused else self.stage
 
 
 @dataclass(frozen=True)
@@ -60,16 +70,22 @@ def stage_breakdown(records: Sequence[SpanRecord]) -> dict[str, StageStat]:
     """Measured wall-clock per stage, keyed S1/S2/S3.
 
     Stages always appear in the result (zero-filled when absent) so the
-    table shape is stable even for runs that skipped a stage.
+    table shape is stable even for runs that skipped a stage.  The S1
+    entry is marked ``rhs_fused`` when any of its spans carried S2.
     """
     calls = {s: 0 for s in STAGES}
     seconds = {s: 0.0 for s in STAGES}
+    fused = False
     for r in records:
         stage = r.attrs.get("stage")
         if stage in calls:
             calls[stage] += 1
             seconds[stage] += r.duration
-    return {s: StageStat(s, calls[s], seconds[s]) for s in STAGES}
+            fused = fused or bool(r.attrs.get("rhs_fused"))
+    return {
+        s: StageStat(s, calls[s], seconds[s], rhs_fused=fused and s == "S1")
+        for s in STAGES
+    }
 
 
 def sweep_seconds(records: Sequence[SpanRecord]) -> float:
@@ -95,7 +111,8 @@ def render_hotspot_table(records: Sequence[SpanRecord]) -> str:
 
     Shares are relative to the parent half-sweep time; the residual row
     shows sweep bookkeeping outside S1/S2/S3 (masking, factor copies), so
-    the three stages plus the residual sum to the sweep total.
+    the three stages plus the residual sum to the sweep total.  When S2
+    ran fused into S1 and never on its own, its empty row is dropped.
     """
     # Imported here: pulling bench in at module scope would cycle back
     # through solvers → core → obs while repro.obs is still initializing.
@@ -107,8 +124,10 @@ def render_hotspot_table(records: Sequence[SpanRecord]) -> str:
     denominator = sweep if sweep > 0 else stage_total
     rows: list[tuple[object, ...]] = []
     for stat in stages.values():
+        if stat.stage == "S2" and stat.calls == 0 and stages["S1"].rhs_fused:
+            continue
         share = stat.seconds / denominator if denominator > 0 else 0.0
-        rows.append((stat.stage, stat.calls, stat.seconds, f"{share:.1%}"))
+        rows.append((stat.label, stat.calls, stat.seconds, f"{share:.1%}"))
     rows.append(("S1+S2+S3", "", stage_total, _share(stage_total, denominator)))
     if sweep > 0:
         rows.append(

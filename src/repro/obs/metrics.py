@@ -2,7 +2,7 @@
 
 The registry is the numeric companion to :mod:`repro.obs.spans`: spans
 say *where* the time went, metrics say *how much work* was done there
-(``als.sweep.rows``, ``solver.cholesky.calls``, ``sparse.nnz_touched``),
+(``als.sweep.rows``, ``solver.lapack.calls``, ``sparse.nnz_touched``),
 which is what turns a hotspot table into an arithmetic-intensity
 argument (cf. the paper's roofline discussion).
 

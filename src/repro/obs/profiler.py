@@ -229,15 +229,4 @@ def render_report(report: ProfileReport, top: int = 10) -> str:
             line += f"  cpu time: {cpu:.2f} s"
         lines.append("")
         lines.append(line)
-    from repro.autotune.solver import cached_solver_decisions
-
-    decisions = cached_solver_decisions()
-    if decisions:
-        lines.append("")
-        lines.append("solver autotune (cached S3 verdicts):")
-        lines.extend(
-            f"  k={d.k:<4d} batch<={d.batch_bucket:<8d} -> {d.solver} "
-            f"({d.speedup:.2f}x over the slowest)"
-            for d in decisions
-        )
     return "\n".join(lines)

@@ -396,9 +396,9 @@ class CSRMatrix:
         ``(nnz, width)`` gather the previous ``np.add.at`` path built.
 
         ``values`` substitutes a per-non-zero coefficient array (aligned
-        with ``self.value``) for the stored values — the hook the
-        implicit-feedback RHS uses to sum ``(1 + α·r)·y_i`` without
-        materializing a reweighted matrix.
+        with ``self.value``) for the stored values, e.g. the implicit
+        RHS coefficients ``1 + α·r``.  The binned assembly's fused RHS
+        is tested against this product.
         """
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.ncols:

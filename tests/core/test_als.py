@@ -137,6 +137,15 @@ class TestLossDefinition:
     def test_rmse_empty_matrix(self):
         assert rmse(COOMatrix.empty((3, 3)), np.zeros((3, 2)), np.zeros((3, 2))) == 0.0
 
+    def test_history_equals_separate_recomputation(self, planted):
+        """One shared error reduction per iteration, bitwise the two calls."""
+        cfg = ALSConfig(k=4, iterations=2, lam=0.07)
+        model = train_als(planted.ratings, cfg)
+        coo = planted.ratings.deduplicate()
+        last = model.history[-1]
+        assert last.loss == regularized_loss(coo, model.X, model.Y, cfg.lam)
+        assert last.train_rmse == rmse(coo, model.X, model.Y)
+
 
 class TestAssemblyConfig:
     def test_invalid_assembly_rejected(self):

@@ -152,6 +152,12 @@ class TestBoundedMemoryAndSpans:
         with capture() as tracer:
             implicit_half_sweep(R, Y, 0.1, 5.0, assembly="binned")
         names = {r.name for r in tracer.records}
+        # Binned S2 runs fused inside the S1 span.
+        assert {"als.implicit.s1", "als.implicit.s3"} <= names
+        assert "als.implicit.s2" not in names
+        with capture() as tracer:
+            implicit_half_sweep(R, Y, 0.1, 5.0, assembly="scatter")
+        names = {r.name for r in tracer.records}
         assert {"als.implicit.s1", "als.implicit.s2", "als.implicit.s3"} <= names
 
     def test_explicit_spans_unchanged(self, rng):
@@ -162,6 +168,7 @@ class TestBoundedMemoryAndSpans:
         Y = rng.standard_normal((R.ncols, 3))
         with capture() as tracer:
             fast_half_sweep(R, Y, 0.1)
+            fast_half_sweep(R, Y, 0.1, assembly="scatter")
         names = {r.name for r in tracer.records}
         assert {"als.s1.gram", "als.s2.rhs", "als.s3.solve"} <= names
         assert not any(n.startswith("als.implicit") for n in names)

@@ -17,7 +17,7 @@ from repro.linalg import (
     scatter_normal_equations,
     tile_bytes_bound,
 )
-from repro.linalg.normal_equations import DEFAULT_TILE_NNZ
+from repro.linalg.normal_equations import DEFAULT_TILE_NNZ, complement_predictions
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture, disable
 from repro.sparse import CSRMatrix
@@ -140,6 +140,57 @@ class TestBinnedMatchesReference:
     def test_shape_mismatch_rejected(self, small_ratings, rng):
         with pytest.raises(ValueError):
             binned_normal_equations(small_ratings, rng.standard_normal((3, 5)), 0.1)
+
+
+class TestFusedRhs:
+    """S2 rides S1's gather; it must still be the sparse product R @ Y."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 24),
+        n=st.integers(2, 20),
+        k=st.integers(2, 6),
+        density=st.floats(0.0, 0.8),
+        tile_frac=st.floats(0.0, 1.0),
+        float32=st.booleans(),
+        implicit=st.booleans(),
+        blocked=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_property_fused_rhs_matches_matmat(
+        self, m, n, k, density, tile_frac, float32, implicit, blocked, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < density
+        mask[0] = True  # a full row, wider than any tile below: segmented
+        mask[-1] = False  # an empty row
+        dense = np.where(mask, rng.integers(1, 6, size=(m, n)), 0)
+        R = CSRMatrix.from_dense(dense.astype(np.float32))
+        tile_nnz = 1 + int(tile_frac * (n - 2))  # < n
+        dtype = np.float32 if float32 else np.float64
+        Y = rng.standard_normal((n, k))
+        value = R.value.astype(np.float64)
+        w = 40.0 * value if implicit else None
+        rv = w + 1.0 if implicit else None
+        start, stop = 0, k
+        if blocked:  # a strict col_block, as the iALS++ sweep assembles it
+            d = int(rng.integers(1, k))
+            start = int(rng.integers(0, k - d + 1))
+            stop = start + d
+            X = rng.standard_normal((m, k))
+            pbar = complement_predictions(R, X, Y, start, stop, tile_nnz=tile_nnz)
+            rv = rv - w * pbar if implicit else value - pbar
+        Yb = Y[:, start:stop]
+        _, b = binned_normal_equations(
+            R, Yb, 0.1, tile_nnz=tile_nnz, compute_dtype=dtype,
+            nnz_weight=w, rhs_nnz_value=rv,
+        )
+        Yc = Yb.astype(dtype).astype(np.float64)
+        coef = value if rv is None else rv
+        ref = R.matmat(Yc, values=coef)
+        scale = R.matmat(np.abs(Yc), values=np.abs(coef))
+        assert np.all(np.abs(b - ref) <= 1e-12 * scale)
+        assert not b[-1].any()
 
 
 class TestTileBudget:

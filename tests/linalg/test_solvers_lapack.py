@@ -20,8 +20,10 @@ from repro.linalg import (
     resolve_solver,
     solver_fn,
 )
+from repro.core.als import ALSConfig, train_als
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
+from tests.conftest import random_rating_matrix
 
 
 def spd_stack(
@@ -141,6 +143,57 @@ class TestFallback:
             batched_lapack_solve(np.ones((2, 3, 4)), np.ones((2, 3)))
 
 
+class TestNonFiniteInput:
+    """NaN/inf systems fail as loudly as the reference, in both modes.
+
+    ``dpotrf`` lets a NaN through (its factor comes back NaN) and an inf
+    system used to reach the least-squares fallback, which fails with
+    "SVD did not converge"; both now raise :class:`CholeskyError`.
+    """
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(4, 1), (3, 3)])
+    def test_one_system_of_a_batch(self, rng, bad, fallback, entry):
+        A, b = spd_stack(rng, 5, 6)
+        A[2][entry] = bad
+        with pytest.raises(CholeskyError, match="matrix 2"):
+            batched_cholesky_solve(A, b)
+        with pytest.raises(CholeskyError, match="matrix 2"):
+            batched_lapack_solve(A, b, fallback=fallback)
+        with pytest.raises(CholeskyError, match="matrix 2"):
+            lapack_cholesky_factor(A)
+
+    def test_beside_an_indefinite_system(self, rng):
+        """The fallback recovers the indefinite system, not the NaN one."""
+        A, b = spd_stack(rng, 5, 4)
+        A[1] = -np.eye(4)
+        A[3, 2, 0] = np.nan
+        with pytest.raises(CholeskyError, match="matrix 3 has non-finite"):
+            batched_lapack_solve(A, b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("solver", ["lapack", None])
+    def test_nan_factor_fails_a_training_half_sweep(
+        self, rng, monkeypatch, solver, workers
+    ):
+        import repro.core.als as als_module
+
+        init = als_module.init_factors
+
+        def poisoned_init(*args, **kwargs):
+            X, Y = init(*args, **kwargs)
+            Y[1] = np.nan  # every user who rated item 1 gets a NaN system
+            return X, Y
+
+        monkeypatch.setattr(als_module, "init_factors", poisoned_init)
+        R = random_rating_matrix(rng, m=20, n=8, density=0.6)
+        assert R.to_dense()[:, 1].any()
+        cfg = ALSConfig(k=3, iterations=1, solver=solver, workers=workers)
+        with pytest.raises(CholeskyError, match="non-finite"):
+            train_als(R, cfg)
+
+
 class TestAsFloat64Stack:
     """Satellite of PR 3: validation must not copy already-conforming input."""
 
@@ -189,7 +242,7 @@ class TestRegistryAndResolution:
 
     def test_resolve_legacy_bool_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert resolve_solver() == "cholesky"
+        assert resolve_solver() == "lapack"
         assert resolve_solver(cholesky=False) == "gaussian"
 
     def test_invalid_names_rejected(self):

@@ -10,20 +10,34 @@ from repro.obs import hotspot
 from repro.obs.spans import Tracer, capture
 
 
+def _train_records(**knobs):
+    problem = planted_problem(m=80, n=60, rank=3, density=0.3, seed=5)
+    with capture() as tracer:
+        train_als(problem.ratings, ALSConfig(k=4, lam=0.05, iterations=3, **knobs))
+    return tuple(tracer.records)
+
+
 @pytest.fixture(scope="module")
 def run_records():
     """Spans from a real (small) instrumented training run."""
-    problem = planted_problem(m=80, n=60, rank=3, density=0.3, seed=5)
-    with capture() as tracer:
-        train_als(problem.ratings, ALSConfig(k=4, lam=0.05, iterations=3))
-    return tuple(tracer.records)
+    return _train_records()
 
 
 class TestStageBreakdown:
     def test_all_stages_present_with_expected_calls(self, run_records):
         stages = hotspot.stage_breakdown(run_records)
         assert set(stages) == {"S1", "S2", "S3"}
-        # 3 iterations x 2 half-sweeps, one stage span each
+        # 3 iterations x 2 half-sweeps, one stage span each; the binned
+        # assembly computes S2 inside S1, so S2 has no spans of its own.
+        assert stages["S1"].rhs_fused and stages["S1"].label == "S1 (+S2)"
+        assert stages["S2"].calls == 0 and stages["S2"].seconds == 0.0
+        for stage in ("S1", "S3"):
+            assert stages[stage].calls == 6
+            assert stages[stage].seconds > 0
+
+    def test_scatter_keeps_all_three_stages(self):
+        stages = hotspot.stage_breakdown(_train_records(assembly="scatter"))
+        assert not stages["S1"].rhs_fused and stages["S1"].label == "S1"
         for stat in stages.values():
             assert stat.calls == 6
             assert stat.seconds > 0
@@ -57,8 +71,9 @@ class TestTopSpans:
 class TestRendering:
     def test_hotspot_table_renders(self, run_records):
         table = hotspot.render_hotspot_table(run_records)
-        for token in ("S1", "S2", "S3", "half-sweep total", "100.0%"):
+        for token in ("S1 (+S2)", "S3", "half-sweep total", "100.0%"):
             assert token in table
+        assert "S2 " not in table.replace("S1 (+S2)", "")
 
     def test_top_spans_table_renders(self, run_records):
         table = hotspot.render_top_spans(run_records, n=5)
