@@ -2,9 +2,11 @@
 
 The right block width ``d`` is a hardware *and* shape question: smaller
 blocks cut per-pass flops (``nnz·k·d`` assembly, ``d³`` solves) but pay
-complement-prediction overhead (``nnz·(k−d)`` per block) and make less
-progress per pass, and where the balance lands depends on k, the matrix
-density, and the BLAS the host runs.  Following the paper's
+a fixed cost per block (an nnz-long permutation gather of the maintained
+rating predictions, kernel and solver launches — the ``2·nnz·d`` dots
+that keep those predictions current sum to ``2·nnz·k`` per pass at any
+width) and make less progress per pass, and where the balance lands
+depends on k, the matrix density, and the BLAS the host runs.  Following the paper's
 measure-then-pick loop (§III-D) — the same scheme the assembly, solver,
 and sharding autotuners use — this module *trains* a small synthetic
 probe at every candidate width, reads the loss-vs-seconds curve each run

@@ -18,6 +18,7 @@ from repro.core.init import init_factors
 from repro.core.loss import loss_and_rmse, rmse
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
+    SubspaceState,
     make_blocks,
     resolve_block_size,
     subspace_iteration,
@@ -256,6 +257,7 @@ def train_als(
             compute_dtype=config.assembly_dtype,
         )
         blocks = None if block_d is None else make_blocks(config.k, block_d)
+        state = SubspaceState()  # carried across iterations
         elapsed = 0.0
         with SweepExecutor(config.workers) as executor:
             for it in range(1, config.iterations + 1):
@@ -285,7 +287,7 @@ def train_als(
                         X, Y = subspace_iteration(
                             executor, R_rows, R_cols, X, Y, config.lam,
                             blocks, config.block_schedule, sweep_kw,
-                            inplace=inplace, iteration=it,
+                            state=state, inplace=inplace, iteration=it,
                         )
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:

@@ -26,6 +26,7 @@ from repro.core.als import (
 from repro.core.init import init_factors
 from repro.core.loss import rmse
 from repro.core.subspace import (
+    SubspaceState,
     make_blocks,
     resolve_block_size,
     subspace_iteration,
@@ -113,6 +114,7 @@ def train_als_wr(
             compute_dtype=config.assembly_dtype,
         )
         blocks = None if block_d is None else make_blocks(config.k, block_d)
+        state = SubspaceState()  # carried across iterations
         elapsed = 0.0
         with SweepExecutor(config.workers) as executor:
             for it in range(1, config.iterations + 1):
@@ -142,7 +144,7 @@ def train_als_wr(
                         X, Y = subspace_iteration(
                             executor, R_rows, R_cols, X, Y, config.lam,
                             blocks, config.block_schedule, sweep_kw,
-                            inplace=inplace, iteration=it,
+                            state=state, inplace=inplace, iteration=it,
                         )
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:

@@ -49,6 +49,7 @@ from repro.core.init import init_factors
 from repro.core.loss import entry_predictions
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
+    SubspaceState,
     make_blocks,
     resolve_block_size,
     subspace_iteration,
@@ -295,7 +296,7 @@ def train_implicit_als(
             compute_dtype=config.assembly_dtype,
         )
         blocks = None if block_d is None else make_blocks(config.k, block_d)
-        grams: dict = {}  # per-side GramCache, persistent across iterations
+        state = SubspaceState()  # carried across iterations
         elapsed = 0.0
         with SweepExecutor(config.workers) as executor:
             for it in range(1, config.iterations + 1):
@@ -327,7 +328,7 @@ def train_implicit_als(
                         X, Y = subspace_iteration(
                             executor, R_rows, R_cols, X, Y, config.lam,
                             blocks, config.block_schedule, sweep_kw,
-                            implicit_alpha=float(config.alpha), grams=grams,
+                            implicit_alpha=float(config.alpha), state=state,
                             inplace=inplace, iteration=it,
                         )
                     elapsed += perf_counter() - t_iter

@@ -27,8 +27,10 @@ __all__ = [
 #: Bytes of one factor gather per prediction chunk: the two gathered
 #: blocks stay cache-resident instead of streaming ``2·nnz·k`` fresh
 #: doubles through memory (about 3x faster at k = 64 on a 2-core x86 VM,
-#: and no ``nnz × k`` temporaries in peak RSS).
-_PREDICT_CHUNK_BYTES = 1 << 20
+#: and no ``nnz × k`` temporaries in peak RSS).  On that VM (2 MB L2 per
+#: core) 512 KB beat 1 MB by 1.3x at k = 64 and 1.6x at d = 16 wide
+#: blocks; 2 MB was 3x slower than 512 KB.
+_PREDICT_CHUNK_BYTES = 1 << 19
 
 
 def entry_predictions(
@@ -38,12 +40,18 @@ def entry_predictions(
 
     Each entry's dot product is computed exactly as one whole-array
     ``einsum`` would, so chunking leaves the result bitwise unchanged.
+    ``np.take`` gathers the same rows as fancy indexing, about 2-3x
+    faster on contiguous factors.
     """
     chunk = max(1, _PREDICT_CHUNK_BYTES // (8 * max(1, X.shape[1])))
     out = np.empty(rows.size, dtype=np.float64)
     for s in range(0, rows.size, chunk):
         e = s + chunk
-        out[s:e] = np.einsum("ij,ij->i", X[rows[s:e]], Y[cols[s:e]])
+        out[s:e] = np.einsum(
+            "ij,ij->i",
+            np.take(X, rows[s:e], axis=0),
+            np.take(Y, cols[s:e], axis=0),
+        )
     return out
 
 

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.normal_equations import (
-    batched_normal_equations,
-    complement_predictions,
-)
+from repro.linalg.normal_equations import batched_normal_equations
 from repro.linalg.solvers import resolve_solver, solver_fn
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
@@ -43,7 +40,8 @@ def sweep_occupied(
     implicit_alpha: float | None = None,
     base_gram: np.ndarray | None = None,
     col_block: tuple[int, int] | None = None,
-    X_current: np.ndarray | None = None,
+    complement: np.ndarray | None = None,
+    gram_complement: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble and solve the occupied rows of ``R``; empty rows cost nothing.
 
@@ -67,14 +65,20 @@ def sweep_occupied(
     ``d = stop - start`` factor coordinates (iALS++ block coordinate
     descent): assembly runs against ``Y[:, start:stop]`` only — d×d Gram
     blocks, d-length RHS — and the contribution of the frozen complement
-    coordinates is folded into the right-hand side via per-nnz
-    complement predictions from ``X_current`` (required; shape
-    ``(R.nrows, k)``).  The returned ``X_rows`` then has ``d`` columns.
-    For the implicit update the complement additionally enters through
-    the dense cross-Gram term ``X̄·Ḡ[comp, block]``, with ``base_gram``
-    supplying the *full* ``k×k`` Gramian of ``Y``.  A full-width block
-    skips every complement term and is bitwise-identical to the
-    unblocked sweep.
+    coordinates is folded into the right-hand side via ``complement``
+    (required; shape ``(R.nnz,)``, aligned with ``R``'s entries): the
+    prediction each stored rating gets from the k−d columns outside the
+    block, which :func:`~repro.core.subspace.subspace_iteration`
+    maintains across block updates.  The returned ``X_rows`` then has
+    ``d`` columns.  For the implicit
+    update the complement additionally enters through the dense
+    cross-Gram term ``X̄·Ḡ[comp, block]``, supplied per row of ``R`` as
+    ``gram_complement`` (shape ``(R.nrows, d)``), with ``base_gram`` the
+    *full* ``k×k`` Gramian of ``Y``.  Both complements come from the
+    caller, so a block update reads no other row's factors and any row
+    split (executor shards, resident shards) solves identical systems.
+    A full-width block skips every complement term and is
+    bitwise-identical to the unblocked sweep.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (λI keeps smat SPD)")
@@ -86,30 +90,36 @@ def sweep_occupied(
         if not (0 <= start < stop <= k):
             raise ValueError(f"col_block [{start}, {stop}) out of range for k={k}")
         blocked = stop - start < k
-        if blocked and X_current is None:
-            raise ValueError("a strict col_block requires X_current")
     else:
         start, stop = 0, k
         blocked = False
     d = stop - start
-    if blocked and X_current.shape != (R.nrows, k):
-        raise ValueError(f"X_current must have shape {(R.nrows, k)}")
+    implicit = implicit_alpha is not None
+    if blocked:
+        if complement is None:
+            raise ValueError("a strict col_block requires the complement")
+        if complement.shape != (R.nnz,):
+            raise ValueError(f"complement must have shape {(R.nnz,)}")
+        if implicit and (
+            gram_complement is None or gram_complement.shape != (R.nrows, d)
+        ):
+            raise ValueError(
+                f"a strict col_block implicit update requires a "
+                f"gram_complement of shape {(R.nrows, d)}"
+            )
     rows, sub = R.occupied_submatrix()
     if rows.size == 0:
         return rows, np.zeros((0, d), dtype=np.float64)
     # At full width Y[:, 0:k] is a plain view and every complement term
     # below is skipped, so the blocked path degenerates to the historical
-    # sweep operation-for-operation (bitwise d == k reduction).
+    # sweep operation-for-operation (bitwise d == k reduction).  ``sub``
+    # holds R's entries in R's order, so ``complement`` aligns with it.
     Yb = Y[:, start:stop] if blocked else Y
-    xc = X_current[rows] if blocked else None
-    if implicit_alpha is not None:
+    if implicit:
         w = implicit_alpha * sub.value.astype(np.float64)
         rv = w + 1.0
         if blocked:
-            pbar = complement_predictions(
-                sub, xc, Y, start, stop, tile_nnz=tile_nnz
-            )
-            rv = rv - w * pbar
+            rv = rv - w * complement
         A, b = batched_normal_equations(
             sub,
             Yb,
@@ -129,19 +139,11 @@ def sweep_occupied(
                 # unobserved entries couples the block to the frozen
                 # complement coordinates through the dense Gramian:
                 # b_B -= X̄ · Ḡ[comp, B].
-                if start > 0:
-                    b -= xc[:, :start] @ base_gram[:start, start:stop]
-                if stop < k:
-                    b -= xc[:, stop:] @ base_gram[stop:, start:stop]
+                b -= gram_complement[rows]
         elif blocked:
             raise ValueError("a strict col_block implicit update requires base_gram")
     else:
-        rv = None
-        if blocked:
-            pbar = complement_predictions(
-                sub, xc, Y, start, stop, tile_nnz=tile_nnz
-            )
-            rv = sub.value.astype(np.float64) - pbar
+        rv = sub.value.astype(np.float64) - complement if blocked else None
         A, b = batched_normal_equations(
             sub,
             Yb,
@@ -165,7 +167,7 @@ def sweep_occupied(
             obs_metrics.inc("subspace.block_updates")
             obs_metrics.set_gauge("subspace.block_size", d)
     solver_name = resolve_solver(solver, cholesky)
-    s3_name = "als.implicit.s3" if implicit_alpha is not None else "als.s3.solve"
+    s3_name = "als.implicit.s3" if implicit else "als.s3.solve"
     with span(s3_name, stage="S3", solver=solver_name, k=d, batch=rows.size):
         obs_metrics.inc(f"solver.{solver_name}.calls")
         X_rows = solver_fn(solver_name)(A, b)

@@ -545,7 +545,9 @@ def complement_predictions(
     the residual target turns the block right-hand side into exactly the
     ``rhs_nnz_value`` hook of the assembly kernels, so iALS++ block
     coordinate descent rides the same binned/tiled machinery as the full
-    sweep.
+    sweep.  Training derives this vector from the per-rating predictions
+    :class:`~repro.core.subspace.SubspaceState` maintains; this
+    from-scratch recompute is the oracle the tests hold it to.
 
     The nnz axis is chunked so the gathered complement scratch stays
     under the configured tile budget (``chunk · (k - d)`` values per
@@ -567,27 +569,19 @@ def complement_predictions(
     chunk = max(1, tile // width)
     rows_e = R.expanded_rows()
     cols_e = R.col_idx
-    with span(
-        "als.subspace.predict", stage="S2", nnz=R.nnz, k=k,
-        block=stop - start,
-    ):
-        for c0 in range(0, R.nnz, chunk):
-            c1 = min(c0 + chunk, R.nnz)
-            u = rows_e[c0:c1]
-            i = cols_e[c0:c1]
-            acc = out[c0:c1]
-            if start > 0:
-                acc += np.einsum(
-                    "ej,ej->e", Xc[u, :start], Yc[i, :start],
-                    dtype=np.float64,
-                )
-            if stop < k:
-                acc += np.einsum(
-                    "ej,ej->e", Xc[u, stop:], Yc[i, stop:],
-                    dtype=np.float64,
-                )
-    if is_enabled():
-        obs_metrics.inc("subspace.predict.nnz", R.nnz)
+    for c0 in range(0, R.nnz, chunk):
+        c1 = min(c0 + chunk, R.nnz)
+        u = rows_e[c0:c1]
+        i = cols_e[c0:c1]
+        acc = out[c0:c1]
+        if start > 0:
+            acc += np.einsum(
+                "ej,ej->e", Xc[u, :start], Yc[i, :start], dtype=np.float64,
+            )
+        if stop < k:
+            acc += np.einsum(
+                "ej,ej->e", Xc[u, stop:], Yc[i, stop:], dtype=np.float64,
+            )
     return out
 
 

@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+def _take(v: np.ndarray | None, index) -> np.ndarray | None:
+    """``v[index]``, passing ``None`` (no complement) through."""
+    return None if v is None else v[index]
+
+
 def solve_bytes_per_row(k: int) -> int:
     """Resident solve-path bytes one occupied row adds beyond its CSR slice.
 
@@ -169,6 +174,8 @@ class SweepExecutor:
         base_gram: np.ndarray | None = None,
         out: np.ndarray | None = None,
         col_block: tuple[int, int] | None = None,
+        complement: np.ndarray | None = None,
+        gram_complement: np.ndarray | None = None,
     ) -> np.ndarray:
         """Update all rows of ``R`` (Eq. 4), sharded across the pool.
 
@@ -199,12 +206,16 @@ class SweepExecutor:
 
         ``col_block=(start, stop)`` restricts the update to that column
         block of the factors (iALS++ subspace descent): only columns
-        ``[start, stop)`` of the output are written, and each shard reads
-        the frozen complement coordinates from a pre-sweep snapshot of
-        its own rows — all snapshots are taken before any shard result is
-        scattered, so every row sees start-of-block values (Jacobi within
-        the block) and the parallel block update stays bitwise-identical
-        to the serial one.
+        ``[start, stop)`` of the output are written.  A strict block
+        needs ``complement``, the frozen columns' prediction for every
+        entry of ``R`` in ``R``'s entry order, and the implicit kernel
+        also ``gram_complement``, one d-row per row of ``R`` (see
+        :func:`~repro.kernels.fastpath.sweep_occupied`).  A
+        :class:`ShardedCSR` slices both by its resident shard's entry
+        and row ranges, and each executor shard by its own entries and
+        rows.  Both are computed before the block from start-of-block
+        values, so every row update is Jacobi within the block and the
+        parallel block update stays bitwise-identical to the serial one.
         """
         if lam <= 0:
             raise ValueError("lam must be positive (λI keeps smat SPD)")
@@ -216,6 +227,10 @@ class SweepExecutor:
                     f"col_block [{start}, {stop}) out of range for k={k}"
                 )
             col_block = (start, stop)
+        if complement is not None and complement.shape != (R.nnz,):
+            raise ValueError(f"complement must have shape {(R.nnz,)}")
+        if gram_complement is not None and len(gram_complement) != R.nrows:
+            raise ValueError(f"gram_complement must have {R.nrows} rows")
         kernel_kw = dict(
             weighted=weighted, solver=solver, cholesky=cholesky,
             assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
@@ -240,11 +255,15 @@ class SweepExecutor:
                         rows=sp.nrows,
                         nnz=sp.nnz,
                     ):
-                        self._sweep_into(X, sp.row_start, mat, Y, lam, kernel_kw)
+                        self._sweep_into(
+                            X, sp.row_start, mat, Y, lam, kernel_kw,
+                            _take(complement, slice(sp.nnz_start, sp.nnz_stop)),
+                            _take(gram_complement, slice(sp.row_start, sp.row_stop)),
+                        )
             if is_enabled():
                 obs_metrics.set_gauge("sweep.resident_shards", len(spans))
             return X
-        self._sweep_into(X, 0, R, Y, lam, kernel_kw)
+        self._sweep_into(X, 0, R, Y, lam, kernel_kw, complement, gram_complement)
         return X
 
     @staticmethod
@@ -275,13 +294,15 @@ class SweepExecutor:
         Y: np.ndarray,
         lam: float,
         kernel_kw: dict,
+        complement: np.ndarray | None = None,
+        gram_complement: np.ndarray | None = None,
     ) -> None:
-        """Sweep one in-RAM matrix into ``X[base_row:base_row + R.nrows]``."""
+        """Sweep one in-RAM matrix into ``X[base_row:base_row + R.nrows]``.
+
+        The complements (strict blocks) are aligned with ``R``'s entries
+        and rows."""
         k = Y.shape[1]
         block = kernel_kw.get("col_block")
-        # A full-width block needs no complement snapshot and scatters the
-        # whole row — identical to the unblocked sweep.
-        strict = block is not None and block[1] - block[0] < k
 
         def scatter(idx: np.ndarray, vals: np.ndarray) -> None:
             if block is None:
@@ -289,20 +310,12 @@ class SweepExecutor:
             else:
                 X[idx, block[0]:block[1]] = vals
 
-        if self.workers <= 1:
-            kw = kernel_kw
-            if strict:
-                kw = dict(kernel_kw, X_current=X[base_row:base_row + R.nrows])
-            rows, X_rows = sweep_occupied(R, Y, lam, **kw)
-            scatter(base_row + rows, X_rows)
-            return
-
-        shards = R.row_shards(self.workers)
+        shards = R.row_shards(self.workers) if self.workers > 1 else ()
         if len(shards) <= 1:
-            kw = kernel_kw
-            if strict:
-                kw = dict(kernel_kw, X_current=X[base_row:base_row + R.nrows])
-            rows, X_rows = sweep_occupied(R, Y, lam, **kw)
+            rows, X_rows = sweep_occupied(
+                R, Y, lam, complement=complement,
+                gram_complement=gram_complement, **kernel_kw,
+            )
             scatter(base_row + rows, X_rows)
             return
 
@@ -313,13 +326,11 @@ class SweepExecutor:
             pool = self._pool_for(len(shards))
             futures = []
             for i, shard in enumerate(shards):
-                kw = kernel_kw
-                if strict:
-                    # Fancy indexing snapshots the shard's rows *now* —
-                    # before any shard result lands in X — so workers
-                    # read start-of-block complement values regardless of
-                    # collection order (bitwise equal to serial).
-                    kw = dict(kernel_kw, X_current=X[base_row + shard.rows])
+                kw = dict(
+                    kernel_kw,
+                    complement=_take(complement, shard.entries),
+                    gram_complement=_take(gram_complement, shard.rows),
+                )
                 futures.append(
                     pool.submit(self._run_shard, i, shard, Y, lam, kw)
                 )

@@ -23,11 +23,14 @@ class RowShard:
     ``rows`` maps the shard-local row index back to the parent matrix
     (``matrix`` row ``i`` is parent row ``rows[i]``); every shard row is
     occupied, so a shard's sweep result scatters straight into
-    ``X[rows]``.
+    ``X[rows]``.  ``entries`` does the same for the stored non-zeros, so
+    a per-entry vector of the parent (the subspace sweep's complement
+    predictions) slices straight to the shard with ``v[entries]``.
     """
 
     rows: np.ndarray  # (B,) parent row indices, ascending
     matrix: "CSRMatrix"  # the shard's own CSR view (B rows)
+    entries: np.ndarray  # (nnz,) parent entry index of each shard entry
 
     @property
     def nnz(self) -> int:
@@ -302,6 +305,10 @@ class CSRMatrix:
         their storage order, which is what makes per-shard assembly
         reproduce the full-matrix assembly bit for bit.
         """
+        return self._take_rows(rows)[0]
+
+    def _take_rows(self, rows: np.ndarray) -> tuple["CSRMatrix", np.ndarray]:
+        """:meth:`take_rows` plus the parent entry index of every entry."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1:
             raise ValueError("rows must be 1-D")
@@ -317,9 +324,10 @@ class CSRMatrix:
         starts = np.repeat(self.row_ptr[rows], lengths)
         offs = np.arange(total, dtype=np.int64) - np.repeat(row_ptr[:-1], lengths)
         src = starts + offs
-        return CSRMatrix(
+        sub = CSRMatrix(
             (rows.size, self.ncols), self.value[src], self.col_idx[src], row_ptr
         )
+        return sub, src
 
     def occupied_submatrix(self) -> tuple[np.ndarray, "CSRMatrix"]:
         """``(rows, sub)`` with only the occupied rows of this matrix.
@@ -329,6 +337,9 @@ class CSRMatrix:
         ``omegaSize > 0`` guard, applied *before* S1 rather than only
         before S3).  When every row is occupied the matrix itself is
         returned, so the common dense-rows case costs one cached check.
+        Empty rows hold no entries, so ``sub`` stores exactly this
+        matrix's entries in the same order: a per-entry vector of the
+        parent is already aligned with ``sub``.
         """
         if self._occupied_sub is None:
             lengths = self.row_lengths()
@@ -370,7 +381,9 @@ class CSRMatrix:
                 continue
             rows = occ_rows[local]  # ascending: rows_of returns sorted indices
             rows.setflags(write=False)
-            shards.append(RowShard(rows=rows, matrix=self.take_rows(rows)))
+            matrix, entries = self._take_rows(rows)
+            entries.setflags(write=False)
+            shards.append(RowShard(rows=rows, matrix=matrix, entries=entries))
         result = tuple(shards)
         self._row_shards[nparts] = result
         return result

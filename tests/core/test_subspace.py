@@ -8,21 +8,32 @@ parallelism and to the out-of-core input representation.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.als import ALSConfig, ALSModel, IterationStats, train_als
 from repro.core.alswr import train_als_wr
 from repro.core.implicit import ImplicitConfig, ImplicitModel, train_implicit_als
+from repro.core.init import init_factors
+from repro.core.loss import entry_predictions
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
+    SubspaceState,
     make_blocks,
     pass_cost,
     resolve_block_size,
+    subspace_iteration,
     validate_block_size,
 )
+from repro.datasets.shardio import build_shard_store
 from repro.linalg.normal_equations import GramCache, complement_predictions
-from repro.sparse import CSRMatrix
+from repro.parallel.executor import SweepExecutor
+from repro.sparse import CSCMatrix, CSRMatrix, ShardStore
 
 K = 8
 
@@ -37,6 +48,17 @@ def ratings():
         0.0,
     )
     return CSRMatrix.from_dense(dense).to_coo()
+
+
+#: Every trainer × schedule; the paired cases keep the bare trainer id.
+_ALGORITHM_SCHEDULES = pytest.mark.parametrize(
+    ("algorithm", "schedule"),
+    [
+        pytest.param(a, s, id=a if s == "paired" else f"{s}-{a}")
+        for s in BLOCK_SCHEDULES
+        for a in ("als", "als-wr", "implicit")
+    ],
+)
 
 
 def _train(algorithm, ratings, **overrides):
@@ -141,25 +163,145 @@ class TestSubspaceConvergence:
         full = iterations * pass_cost(K, K, nnz=nnz, rows=rows)
         assert spent < full
 
-    def test_parallel_matches_serial_bitwise(self, ratings):
-        serial = _train("als", ratings, block_size=3)
-        threaded = _train("als", ratings, block_size=3, workers=3)
+    @_ALGORITHM_SCHEDULES
+    def test_parallel_matches_serial_bitwise(self, ratings, algorithm, schedule):
+        kw = dict(block_size=3, block_schedule=schedule)
+        serial = _train(algorithm, ratings, **kw)
+        threaded = _train(algorithm, ratings, workers=3, **kw)
         assert np.array_equal(np.asarray(serial.X), np.asarray(threaded.X))
         assert np.array_equal(np.asarray(serial.Y), np.asarray(threaded.Y))
 
-    @pytest.mark.parametrize("algorithm", ("als", "implicit"))
+    @_ALGORITHM_SCHEDULES
     def test_shard_store_matches_in_ram_bitwise(
-        self, ratings, algorithm, tmp_path
+        self, ratings, algorithm, schedule, tmp_path
     ):
-        from repro.datasets.shardio import build_shard_store
-        from repro.sparse.shards import ShardStore
-
         build_shard_store(tmp_path / "store", ratings)
         store = ShardStore.open(tmp_path / "store", shard_bytes=1 << 20)
-        ram = _train(algorithm, ratings, block_size=3)
-        ooc = _train(algorithm, store, block_size=3)
+        kw = dict(block_size=3, block_schedule=schedule)
+        ram = _train(algorithm, ratings, **kw)
+        ooc = _train(algorithm, store, **kw)
         assert np.array_equal(np.asarray(ram.X), np.asarray(ooc.X))
         assert np.array_equal(np.asarray(ram.Y), np.asarray(ooc.Y))
+
+
+class _CheckingExecutor(SweepExecutor):
+    """Checks every strict block's complement against a fresh recompute."""
+
+    def __init__(self, workers, csr):
+        super().__init__(workers)
+        self.csr = csr  # id(view) -> the view as an in-RAM CSRMatrix
+        self.visits = 0
+
+    def half_sweep(self, R, Y, lam, X_prev=None, col_block=None,
+                   complement=None, **kw):
+        s, e = col_block
+        if e - s < Y.shape[1]:
+            R_csr = self.csr[id(R)]
+            expect = complement_predictions(R_csr, X_prev, Y, s, e)
+            _assert_close_dots(complement, expect, R_csr, X_prev, Y)
+            self.visits += 1
+        return super().half_sweep(
+            R, Y, lam, X_prev=X_prev, col_block=col_block,
+            complement=complement, **kw,
+        )
+
+
+def _assert_close_dots(got, expect, R, X, Y):
+    """Per entry, within 1e-12 of the summed magnitudes of its products."""
+    scale = entry_predictions(np.abs(X), R.expanded_rows(), np.abs(Y), R.col_idx)
+    assert np.all(np.abs(np.asarray(got) - expect) <= 1e-12 * scale)
+
+
+def _views(dense, store_dir):
+    """``(R_rows, R_cols, csr)`` in RAM, or from a shard store when
+    ``store_dir`` is set; ``csr`` maps each view to its in-RAM form."""
+    R_rows = CSRMatrix.from_dense(dense)
+    R_cols = CSCMatrix.from_csr(R_rows).transpose_as_csr()
+    if store_dir is None:
+        return R_rows, R_cols, {id(R_rows): R_rows, id(R_cols): R_cols}
+    build_shard_store(store_dir, R_rows)
+    store = ShardStore.open(store_dir)
+    for view in (store.rows, store.cols):
+        # Below the planner's floor on purpose: a few rows per shard, so
+        # the predictions stream over several entry ranges.
+        view.shard_bytes = 64
+    return store.rows, store.cols, {
+        id(store.rows): R_rows, id(store.cols): R_cols,
+    }
+
+
+_KW = {"als": {}, "als-wr": {"weighted": True}, "implicit": {}}
+
+
+@st.composite
+def _problems(draw):
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, 9))
+    d = draw(st.integers(1, k - 1))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = gen.random((m, n)) < draw(st.floats(0.2, 0.9))
+    mask[draw(st.integers(0, m - 1))] = False  # an empty row
+    mask[:, draw(st.integers(0, n - 1))] = False  # an empty column
+    dense = np.where(mask, gen.integers(1, 6, size=(m, n)), 0)
+    return dense.astype(np.float32), k, d
+
+
+class TestMaintainedPredictions:
+    """The maintained per-rating predictions stay the recomputed ones."""
+
+    @pytest.mark.parametrize("store", (False, True), ids=("csr", "store"))
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("schedule", BLOCK_SCHEDULES)
+    @pytest.mark.parametrize("algorithm", ("als", "als-wr", "implicit"))
+    @settings(max_examples=6, deadline=None)
+    @given(problem=_problems())
+    # k > min(m, n), d not dividing k, an empty row and column:
+    @example(problem=(np.array([[0, 3, 1], [0, 0, 0], [0, 5, 2]], np.float32), 5, 2))
+    def test_complement_matches_recompute(
+        self, algorithm, schedule, workers, store, problem
+    ):
+        dense, k, d = problem
+
+        def fit(store_dir, workers):
+            R_rows, R_cols, csr = _views(dense, store_dir)
+            X, Y = init_factors(*dense.shape, k, seed=1)
+            state = SubspaceState()
+            with _CheckingExecutor(workers, csr) as ex:
+                for _ in range(3):
+                    X, Y = subspace_iteration(
+                        ex, R_rows, R_cols, X, Y, 0.1, make_blocks(k, d),
+                        schedule, _KW[algorithm], state=state,
+                        implicit_alpha=10.0 if algorithm == "implicit" else None,
+                    )
+            assert ex.visits == 3 * 2 * len(make_blocks(k, d))
+            return X, Y
+
+        # Sliced per worker shard or streamed per resident shard, the
+        # same vectors train bitwise like the serial in-RAM fit.
+        X, Y = fit(None, 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            Xs, Ys = fit(Path(tmp, "store") if store else None, workers)
+        assert np.array_equal(X, Xs) and np.array_equal(Y, Ys)
+
+    @pytest.mark.parametrize("schedule", BLOCK_SCHEDULES)
+    @pytest.mark.parametrize("algorithm", ("als", "als-wr", "implicit"))
+    def test_no_drift_after_30_iterations(self, ratings, algorithm, schedule):
+        R_rows = CSRMatrix.from_coo(ratings)
+        R_cols = CSCMatrix.from_csr(R_rows).transpose_as_csr()
+        X, Y = init_factors(*R_rows.shape, K, seed=3)
+        state = SubspaceState()
+        with SweepExecutor(1) as ex:
+            for _ in range(30):
+                X, Y = subspace_iteration(
+                    ex, R_rows, R_cols, X, Y, 0.1, make_blocks(K, 3),
+                    schedule, _KW[algorithm], state=state,
+                    implicit_alpha=10.0 if algorithm == "implicit" else None,
+                )
+        rows = R_rows.expanded_rows()
+        fresh = entry_predictions(X, rows, Y, R_rows.col_idx)
+        _assert_close_dots(state.p, fresh, R_rows, X, Y)
+        assert np.array_equal(R_cols.col_idx, rows[state.perm])
 
 
 class TestBuildingBlocks:
