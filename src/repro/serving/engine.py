@@ -12,9 +12,13 @@ query path:
   tile at a time; the tile width is derived from a *bytes budget* for
   the score buffer (``tile_bytes``, the serving analogue of assembly's
   ``tile_nnz``), so peak scoring scratch is ``O(block · tile)`` instead
-  of ``O(U · n)``.
-* **Streaming merge.**  Each tile's per-user top-N candidates are merged
-  against the running candidates carried from earlier tiles; the engine
+  of ``O(U · n)``.  When the whole ``(block, catalog)`` score block fits
+  the budget — every request-sized block at the benchmark shapes — the
+  block is scored in one GEMM and selected in one exact pass; no tile
+  or merge follows.
+* **Streaming merge.**  Blocks wider than the budget carry a per-user
+  running top-N: each tile's threshold-passing candidates are merged
+  against the candidates carried from earlier tiles, so the engine
   never holds more than ``(block, tile)`` scores plus ``(block, 2N)``
   merge candidates.
 * **Vectorized exclusion.**  Seen items come straight from the CSR
@@ -24,7 +28,10 @@ query path:
 * **Deterministic ties.**  Candidates are ordered by ``(score desc,
   item id asc)`` — a total order, so the tiled result is *identical*
   to a naive full-sort reference for every tile size, including exact
-  score ties and all-tied (empty-profile) users.
+  score ties and all-tied (empty-profile) users.  Exact selection
+  (:func:`_select_topn`) keeps every score ``>=`` the row's n-th
+  largest; only rows where that keeps more than n (a tie at the
+  threshold) are repaired, lowest id first.
 * **Selectable precision.**  Scores can be computed in float32 (2x the
   effective memory bandwidth, the paper's single-precision kernels) or
   float64 (bit-compatible with the training factors).
@@ -204,33 +211,52 @@ def _merge_topn(
     )
 
 
+def _select_topn(S: np.ndarray, n: int) -> np.ndarray:
+    """Columns of each row's exact top-``n``, ascending, ``(B, n)``.
+
+    Order is ``(score desc, column asc)``.  Selection is by threshold:
+    with ``cut`` the row's n-th largest score, ``S >= cut`` keeps at
+    least n entries per row, and exactly n unless a tie sits at the
+    threshold.  That common case costs one comparison and one
+    ``flatnonzero`` — no per-row counts.  Only rows that keep more than
+    n are repaired: everything strictly above ``cut``, then the
+    lowest-column ties up to n (exact duplicates, or a row of ``-inf``
+    filler).  O(B·w) with no sort, yet exactly the selection a full
+    sort would make.  ``S`` must hold no NaN (the callers' inputs are
+    checked); a NaN can leave a row short of n, and the endpoint check
+    below keeps that from shifting rows into their neighbours.
+    """
+    B, w = S.shape
+    cut = np.partition(S, w - n, axis=1)[:, w - n, None]
+    above = S >= cut
+    flat = np.flatnonzero(above)
+    if flat.size == B * n:
+        # Every row holds exactly n iff each row's first and last slot
+        # land in that row; the flat list is row-major, so the slots
+        # between them do too.
+        ends = flat.reshape(B, n)[:, [0, -1]] // w
+        if (ends == np.arange(B)[:, None]).all():
+            return (flat % w).reshape(B, n)
+    counts = np.count_nonzero(above, axis=1)
+    if (counts < n).any():
+        raise ValueError(f"NaN score in row {int(np.argmax(counts < n))}")
+    bad = np.flatnonzero(counts > n)
+    strict = S[bad] > cut[bad]
+    tied = S[bad] == cut[bad]
+    need = n - np.count_nonzero(strict, axis=1)
+    above[bad] = strict | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+    return np.nonzero(above)[1].reshape(B, n)
+
+
 def _tile_survivors(
     S: np.ndarray, t0: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-row top-``n`` of one scored tile, ids ascending.
-
-    Selection is by score threshold: every entry strictly above the
-    row's n-th largest score survives, and exact ties *at* the threshold
-    are filled lowest-id-first (columns ascend within a tile, so a
-    cumulative-sum cutoff over the tie mask picks the smallest ids).
-    This is O(B·w) — no sort over the tile — yet agrees exactly with the
-    ``(score desc, id asc)`` total order a full sort would produce.
-    """
+    """Exact per-row top-``n`` of one scored tile, ids ascending."""
     B, w = S.shape
     if w <= n:
         ids = np.broadcast_to(np.arange(t0, t0 + w, dtype=np.int64), (B, w))
         return ids, S
-    cut = np.partition(S, w - n, axis=1)[:, w - n, None]
-    above = S > cut
-    need = n - np.count_nonzero(above, axis=1)
-    bad = np.flatnonzero(need)
-    if bad.size:
-        # Ties at the threshold (exact duplicates, or -inf filler rows):
-        # fill lowest-id-first — but only on the rows that need it, so
-        # one tied row doesn't cost extra passes over the whole block.
-        tied = S[bad] == cut[bad]
-        above[bad] |= tied & (np.cumsum(tied, axis=1) <= need[bad, None])
-    cols = np.nonzero(above)[1].reshape(B, n)
+    cols = _select_topn(S, n)
     return cols + t0, np.take_along_axis(S, cols, axis=1)
 
 
@@ -278,6 +304,15 @@ class TopNEngine:
         )
         self._X = np.ascontiguousarray(X, dtype=self.dtype)
         self._Y = np.ascontiguousarray(Y, dtype=self.dtype)
+        # A non-finite factor row poisons every score it touches: refuse
+        # it here, once, rather than inside every batch that meets it.
+        # Checked after the cast so float32 overflow counts too.
+        for name, F in (("X", self._X), ("Y", self._Y)):
+            bad = ~np.isfinite(F).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"non-finite value in factor {name}, row {int(np.argmax(bad))}"
+                )
         from repro.parallel import resolve_workers
 
         self.workers = resolve_workers(workers)
@@ -462,12 +497,18 @@ class TopNEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         B = Xb.shape[0]
         tile = self.tile_items(B)
-        # Bootstrap on a short leading slice: exact selection over the
-        # whole slice seeds the per-user running top-N.  The slice is
-        # deliberately narrow — exact selection costs several passes per
-        # element, so paying it on O(n) items instead of a full tile is
-        # what lets every later tile get away with a single comparison.
-        w0 = min(self.n_items, tile, max(64, 4 * n))
+        # Bootstrap: exact selection over a leading slice seeds the
+        # per-user running top-N.  When the whole (B, n_items) block fits
+        # the budget the slice is the whole catalog — one GEMM, one
+        # exclusion scatter, one selection, no tiles and no merges, which
+        # is what every request-sized block takes.  Otherwise the slice
+        # is narrow: exact selection costs a few passes per element, so
+        # paying it on O(n) items lets every later tile get away with a
+        # single comparison against the running threshold.
+        if tile >= self.n_items:
+            w0 = self.n_items
+        else:
+            w0 = min(tile, max(64, 4 * n))
         # Exclusion comes in two flavors.  A CSRMatrix uses the cached
         # global sorted keys (built once per exclusion matrix, reused
         # across queries): bootstrap entries are the per-user key prefix
@@ -522,6 +563,8 @@ class TopNEngine:
         S0 = Xb @ self._Y[:w0].T
         if boot_rows is not None:
             S0[boot_rows, boot_cols] = -np.inf
+        # Score block plus the selection's bool mask, as for the tiles.
+        peak = S0.nbytes + S0.size
         ids, vals = _tile_survivors(S0, 0, n)
         del S0
         if ids.shape[1] < n:  # catalog slice shorter than n: pad out
@@ -549,9 +592,10 @@ class TopNEngine:
         # (score desc, id asc) order an exact tie loses.  That makes one
         # `S > thresh` comparison the whole per-tile filter.
         thresh = best_scores[:, -1].copy()
-        score_buf = np.empty((B, tile), dtype=self.dtype)
-        mask_buf = np.empty((B, tile), dtype=bool)
-        peak = score_buf.nbytes + mask_buf.nbytes
+        if w0 < self.n_items:
+            score_buf = np.empty((B, tile), dtype=self.dtype)
+            mask_buf = np.empty((B, tile), dtype=bool)
+            peak = max(peak, score_buf.nbytes + mask_buf.nbytes)
         # Tiles grow geometrically from the bootstrap width up to the
         # budgeted width: the filter threshold is frozen within a tile,
         # so keeping each tile no wider than the prefix it follows bounds
@@ -640,9 +684,9 @@ def _merge_streaming(
     ``< n``) are already sorted by ``(score desc, id asc)`` and always
     have smaller ids than the incoming tile's entries (tiles ascend),
     and new entries land in ascending-id order after them.  Exact top-n
-    selection by score threshold with lowest-column tie fill (the same
-    O(rows·width) pass as :func:`_tile_survivors`) is then identical to
-    the ``(score desc, id asc)`` total order — no per-candidate lexsort.
+    selection by :func:`_select_topn` (lowest column wins a tie) is then
+    identical to the ``(score desc, id asc)`` total order — no
+    per-candidate lexsort.
 
     ``rows`` must be sorted ascending with ids ascending within a row
     (the row-major order ``flatnonzero`` produces).
@@ -685,17 +729,7 @@ def _merge_streaming(
         dense[:, :n] = best_scores[aff]
         pos = np.arange(rows.size, dtype=np.int64) - np.repeat(starts, counts)
         dense[inv, n + pos] = vals
-        cut = np.partition(dense, width - n, axis=1)[:, width - n, None]
-        above = dense > cut
-        need = n - np.count_nonzero(above, axis=1)
-        bad = np.flatnonzero(need)
-        if bad.size:
-            # Ties at the threshold: fill lowest-column-first, repairing
-            # only the rows that need it (a lone -inf-padded row would
-            # otherwise drag every merge through the full tie machinery).
-            tied = dense[bad] == cut[bad]
-            above[bad] |= tied & (np.cumsum(tied, axis=1) <= need[bad, None])
-        cols = np.nonzero(above)[1].reshape(A, n)
+        cols = _select_topn(dense, n)
         sel_scores = np.take_along_axis(dense, cols, axis=1)
         # Ids are reconstructed from the column index instead of being
         # scattered through a second dense block: columns ``< n`` name a
@@ -738,6 +772,10 @@ def topn_from_scores(
     S = np.array(S, dtype=np.float64)
     if S.ndim != 2:
         raise ValueError("S must be a (users, items) score block")
+    nan_rows = np.isnan(S).any(axis=1)
+    if nan_rows.any():
+        # -inf is legal (the exclusion marker); NaN has no rank.
+        raise ValueError(f"NaN score in row {int(np.argmax(nan_rows))}")
     if n <= 0:
         raise ValueError("n must be positive")
     n = min(int(n), S.shape[1])

@@ -101,7 +101,7 @@ class ServiceStats:
     __slots__ = (
         "_lock", "requests", "cache_hits", "cache_misses", "batches",
         "batched_users", "folded_users", "folded_items", "updated_users",
-        "swaps", "errors",
+        "swaps", "refused_swaps", "errors",
     )
 
     def __init__(self) -> None:
@@ -115,6 +115,7 @@ class ServiceStats:
         self.folded_items = 0
         self.updated_users = 0
         self.swaps = 0
+        self.refused_swaps = 0
         self.errors = 0
 
     def bump(self, **deltas: int) -> None:
@@ -463,6 +464,10 @@ class RecommendService:
         keep the old state object, so every response comes wholly from
         the pre- or the post-swap model.  The cache is cleared (the
         generation bump alone already makes old entries unreachable).
+
+        A model the engine refuses (non-finite or mismatched factors) raises
+        ``ValueError`` and counts in ``stats.refused_swaps``; nothing is
+        published, so the old model and generation keep serving.
         """
         if isinstance(source, (str, os.PathLike)):
             from repro.api import Recommender
@@ -471,23 +476,32 @@ class RecommendService:
         if not getattr(source, "is_fitted", False):
             raise ValueError("hot_swap needs a fitted recommender or checkpoint")
         with self._mutate_lock:
+            try:
+                gen = self._install_state(self._state.generation + 1, source)
+            except ValueError:
+                self.stats.bump(refused_swaps=1)
+                if is_enabled():
+                    obs_metrics.inc("service.refused_swaps")
+                raise
             self._rec = source
-            gen = self._install_state(self._state.generation + 1)
             self.clear_cache()
         self.stats.bump(swaps=1)
         if is_enabled():
             obs_metrics.inc("service.swaps")
         return gen
 
-    def _build_state(self, generation: int) -> ModelState:
-        exclude = self._rec._train_csr if self.exclude_seen else None
-        engine = TopNEngine.from_model(self._rec.model, **self._engine_kwargs)
+    def _build_state(self, generation: int, rec=None) -> ModelState:
+        rec = self._rec if rec is None else rec
+        exclude = rec._train_csr if self.exclude_seen else None
+        engine = TopNEngine.from_model(rec.model, **self._engine_kwargs)
         if isinstance(exclude, CSRMatrix):
             engine.attach_exclusion(exclude)  # pre-warm the sorted keys
         return ModelState(generation=generation, engine=engine, exclude=exclude)
 
-    def _install_state(self, generation: int) -> int:
-        state = self._build_state(generation)
+    def _install_state(self, generation: int, rec=None) -> int:
+        # Build completely (the engine refuses non-finite factors) before
+        # publishing: a failed build leaves the served state untouched.
+        state = self._build_state(generation, rec)
         self._state = state  # the atomic swap point
         if is_enabled():
             obs_metrics.set_gauge("service.generation", generation)

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serving.engine import (
     DEFAULT_TILE_BYTES,
@@ -117,6 +120,101 @@ class TestBitwiseParity:
         got = TopNEngine(X, Y, tile_bytes=tile_bytes_for(64, users.size),
                          user_block=users.size).query(users, n=n, exclude=R)
         assert np.array_equal(got.items, ref_ids)
+
+
+@st.composite
+def topn_cases(draw):
+    """Small exact-score problems built to stress the tie logic."""
+    m = draw(st.integers(1, 8))
+    n_items = draw(st.integers(1, 48))
+    k = draw(st.integers(1, 3))
+    # Factors in {-1, 0, 1}: every score is exact and ties are common.
+    X, Y = (
+        draw(hnp.arrays(np.int8, shape, elements=st.integers(-1, 1)))
+        .astype(np.float64)
+        for shape in ((m, k), (n_items, k))
+    )
+    n = draw(st.integers(1, n_items + 3))
+    rows: list[int] = []
+    cols: list[int] = []
+    for u in range(m):
+        profile = draw(st.sampled_from(["empty", "some", "all_but"]))
+        if profile == "empty":
+            seen: set[int] = set()
+        elif profile == "some":
+            seen = draw(st.sets(st.integers(0, n_items - 1)))
+        else:  # fewer than n unseen items: the row ends in PAD_ITEM
+            unseen = draw(st.sets(st.integers(0, n_items - 1),
+                                  max_size=min(n, n_items) - 1))
+            seen = set(range(n_items)) - unseen
+        rows += [u] * len(seen)
+        cols += sorted(seen)
+    R = CSRMatrix.from_coo(COOMatrix(
+        (m, n_items), np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64), np.ones(len(rows)),
+    ))
+    exclude = R if draw(st.booleans()) else None
+    users = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                   max_size=12)), dtype=np.int64)
+    user_block = draw(st.integers(1, users.size))
+    # Half the budgets fit a whole block (one exact pass); the rest
+    # stream through the tiles and merges.
+    fits = draw(st.booleans())
+    width = draw(st.integers(n_items, n_items + 4) if fits
+                 else st.integers(1, n_items))
+    return X, Y, exclude, users, n, user_block, tile_bytes_for(width, user_block)
+
+
+class TestFullSortProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(case=topn_cases())
+    def test_engine_and_topn_from_scores_match_full_sort(self, case):
+        X, Y, exclude, users, n, user_block, tile_bytes = case
+        engine = TopNEngine(X, Y, tile_bytes=tile_bytes, dtype="float64",
+                            user_block=user_block)
+        single = engine.tile_items(min(user_block, users.size)) >= Y.shape[0]
+        event("single pass" if single else "streaming")
+        ref_ids, ref_scores = full_sort_reference(X, Y, users, n, exclude)
+        finite = np.isfinite(ref_scores)
+        got_engine = engine.query(users, n=n, exclude=exclude)
+        got_scores = topn_from_scores(
+            X[users] @ Y.T, n=n, users=users, exclude=exclude,
+            tile_bytes=tile_bytes,
+        )
+        for got in (got_engine, got_scores):
+            assert np.array_equal(got.items, ref_ids)
+            assert np.array_equal(got.scores[finite], ref_scores[finite])
+            assert (got.scores[~finite] == -np.inf).all()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("factor, row, bad", [
+        ("X", 7, np.nan), ("Y", 42, np.inf), ("Y", 0, -np.inf),
+    ])
+    def test_engine_refuses_non_finite_factor(self, problem, factor, row, bad):
+        X, Y, _ = problem
+        X, Y = X.copy(), Y.copy()
+        (X if factor == "X" else Y)[row, 3] = bad
+        with pytest.raises(ValueError, match=f"factor {factor}, row {row}"):
+            TopNEngine(X, Y)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_float32_overflow_is_non_finite(self, problem):
+        X, Y, _ = problem
+        X = X.copy()
+        X[5, 0] = 1e300  # finite in float64, inf once cast to float32
+        TopNEngine(X, Y, dtype="float64")
+        with pytest.raises(ValueError, match="factor X, row 5"):
+            TopNEngine(X, Y, dtype="float32")
+
+    def test_topn_from_scores_rejects_nan_keeps_neg_inf(self):
+        S = np.arange(15, dtype=np.float64).reshape(3, 5)
+        S[1, 2] = -np.inf  # the exclusion marker stays legal
+        got = topn_from_scores(S, n=5)
+        assert got.items[1].tolist() == [4, 3, 1, 0, PAD_ITEM]
+        S[2, 4] = np.nan
+        with pytest.raises(ValueError, match="row 2"):
+            topn_from_scores(S, n=5)
 
 
 class TestTiesAndEdges:
@@ -225,9 +323,10 @@ class TestKnobs:
         assert engine.tile_items(64) == 9
         assert engine.tile_items(1) <= Y.shape[0]
 
-    def test_peak_stays_within_budget_plus_mask(self, problem):
+    @pytest.mark.parametrize("width", [16, 350])  # 350: one whole-catalog pass
+    def test_peak_stays_within_budget_plus_mask(self, problem, width):
         X, Y, R = problem
-        budget = tile_bytes_for(16, 55)
+        budget = tile_bytes_for(width, 55)
         engine = TopNEngine(X, Y, tile_bytes=budget, user_block=55)
         engine.query(np.arange(X.shape[0]), n=10, exclude=R)
         # score buffer within budget; bool mask adds 1 byte per slot

@@ -243,6 +243,24 @@ class TestHotSwap:
         assert res.generation == 1
         assert res.recommendations == tuple(ref.row(0)[:5])
 
+    def test_swap_to_non_finite_model_is_refused(self, rec):
+        """A NaN model never publishes; the old one keeps answering."""
+        bad = make_rec(seed=99)
+        bad.model.X[4, 1] = np.nan
+        expected = expected_rows(rec, 5)
+        with RecommendService(rec, cache_size=0) as svc:
+            assert svc.submit(4, 5).result(10).recommendations == expected[4]
+            with pytest.raises(ValueError, match="factor X, row 4"):
+                svc.hot_swap(bad)
+            assert svc.generation == 0
+            for user in range(M):
+                res = svc.submit(user, 5).result(10)
+                assert res.generation == 0
+                assert res.recommendations == expected[user]
+        stats = svc.stats.snapshot()
+        assert stats["refused_swaps"] == 1 and stats["swaps"] == 0
+        assert stats["errors"] == 0
+
     def test_swap_rejects_unfitted(self, rec):
         with RecommendService(rec) as svc:
             with pytest.raises(ValueError, match="fitted"):
