@@ -34,7 +34,7 @@ from repro.bench.record import (
     write_record,
     write_telemetry,
 )
-from repro.bench.workloads.serving import BATCH_WINDOW, check_record
+from repro.bench.workloads.serving import check_record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,11 +54,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--iterations", type=int, default=None)
     parser.add_argument(
         "--max-batch", type=int, default=None,
-        help="coalescing cap (default: match --concurrency, so a batch "
-        "closes the moment every in-flight client has arrived instead of "
-        "always waiting out the window)",
+        help="coalescing cap (default: match --concurrency, so the worker "
+        "stops yielding the moment every client it answered has resubmitted)",
     )
-    parser.add_argument("--batch-window", type=float, default=BATCH_WINDOW)
     parser.add_argument(
         "--concurrency", type=int, default=None,
         help="closed-loop client threads (default: 32 full, 8 quick)",
@@ -87,10 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # check=False: the records must land (and be written below) even when
     # a bar is missed; the bars are applied explicitly for --check.
-    params = {
-        "quick": ns.quick, "check": False,
-        "batch_window": ns.batch_window, "seed": ns.seed,
-    }
+    params = {"quick": ns.quick, "check": False, "seed": ns.seed}
     for name in (
         "scale", "k", "iterations", "max_batch", "concurrency",
         "requests", "rate", "duration",

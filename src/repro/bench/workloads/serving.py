@@ -27,7 +27,6 @@ ALPHA = 40.0
 ITERATIONS = 3
 N_TOP = 10
 MAX_BATCH = 32
-BATCH_WINDOW = 0.002
 ALGORITHMS = ("als", "als-wr", "implicit")
 
 
@@ -60,9 +59,8 @@ def _measure_batching(rec, users, ns) -> dict:
 
     out: dict = {}
     for label, kwargs in (
-        ("unbatched", dict(max_batch=1, batch_window=0.0, cache_size=0)),
-        ("batched", dict(max_batch=ns.max_batch, batch_window=ns.batch_window,
-                         cache_size=0)),
+        ("unbatched", dict(max_batch=1, cache_size=0)),
+        ("batched", dict(max_batch=ns.max_batch, cache_size=0)),
     ):
         with RecommendService(rec, **kwargs) as service:
             out[label] = _closed(service, users, ns)
@@ -91,8 +89,7 @@ def _measure_cache(rec, users, ns) -> dict:
 
     pool = users[: max(8, users.size // 8)]  # small pool -> guaranteed reuse
     with RecommendService(
-        rec, max_batch=ns.max_batch, batch_window=ns.batch_window,
-        cache_size=max(4096, 2 * pool.size),
+        rec, max_batch=ns.max_batch, cache_size=max(4096, 2 * pool.size),
     ) as service:
         cold = _closed(service, pool, ns)
         warm = _closed(service, pool, ns)  # same seed: identical picks
@@ -122,9 +119,7 @@ def _measure_open_loop(rec, users, ns) -> dict:
     from repro.serving.loadgen import run_open_loop
     from repro.serving.service import RecommendService
 
-    with RecommendService(
-        rec, max_batch=ns.max_batch, batch_window=ns.batch_window, cache_size=0
-    ) as service:
+    with RecommendService(rec, max_batch=ns.max_batch, cache_size=0) as service:
         report = run_open_loop(
             service, users, n=N_TOP, rate=ns.rate, duration=ns.duration,
             seed=ns.seed,
@@ -208,7 +203,6 @@ def run_benchmark(
     requests: int,
     rate: float,
     duration: float,
-    batch_window: float,
     seed: int,
     check_scale: float,
     check_k: int,
@@ -218,8 +212,7 @@ def run_benchmark(
     ns = SimpleNamespace(
         scale=scale, k=k, iterations=iterations, concurrency=concurrency,
         max_batch=max_batch, requests=requests, rate=rate, duration=duration,
-        batch_window=batch_window, seed=seed, check_scale=check_scale,
-        check_k=check_k,
+        seed=seed, check_scale=check_scale, check_k=check_k,
     )
     spec = MOVIELENS1M.scaled(ns.scale)
     ratings = generate_ratings(spec, seed=ns.seed)
@@ -227,7 +220,6 @@ def run_benchmark(
         f"serving benchmark: {spec.abbr} scale={ns.scale:g} "
         f"(m={spec.m}, n={spec.n}, nnz={ratings.nnz}), k={ns.k}, "
         f"top-{N_TOP}, max_batch={ns.max_batch}, "
-        f"window={ns.batch_window * 1e3:g} ms, "
         f"concurrency={ns.concurrency} x {ns.requests} requests",
         flush=True,
     )
@@ -260,7 +252,6 @@ def run_benchmark(
         **shape,
         "n_top": N_TOP,
         "max_batch": ns.max_batch,
-        "batch_window": ns.batch_window,
         "concurrency": ns.concurrency,
         "requests_per_worker": ns.requests,
         "batching": batching,
@@ -285,7 +276,6 @@ def run_benchmark(
         **shape,
         "n_top": N_TOP,
         "max_batch": ns.max_batch,
-        "batch_window": ns.batch_window,
         "concurrency": ns.concurrency,
         "serve_throughput": batching["batched"]["throughput"],
         "serve_p95_latency": batched_lat["p95"],
@@ -303,7 +293,6 @@ def resolve(
     requests: int | None = None,
     rate: float | None = None,
     duration: float | None = None,
-    batch_window: float = BATCH_WINDOW,
     seed: int = 7,
 ) -> dict:
     scale = scale if scale is not None else (1 / 64 if quick else 1 / 8)
@@ -314,14 +303,12 @@ def resolve(
         "k": k,
         "iterations": iterations if iterations is not None else (2 if quick else ITERATIONS),
         "concurrency": concurrency,
-        # Match concurrency by default, so a batch closes the moment
-        # every in-flight client has arrived instead of always waiting
-        # out the window.
+        # Match concurrency by default, so the worker stops yielding
+        # the moment every client it answered has resubmitted.
         "max_batch": max_batch if max_batch is not None else min(MAX_BATCH, concurrency),
         "requests": requests if requests is not None else (40 if quick else 200),
         "rate": rate if rate is not None else (200.0 if quick else 500.0),
         "duration": duration if duration is not None else (1.0 if quick else 4.0),
-        "batch_window": batch_window,
         "seed": seed,
         "check_scale": min(scale, 1 / 64),
         "check_k": min(k, 16),

@@ -46,7 +46,7 @@ Usage::
                                    # stand-alone Prometheus /metrics +
                                    # /healthz endpoint with the resource
                                    # sampler running
-    repro-als serve ML1M --port 9600 --max-batch 32 --batch-window 0.002
+    repro-als serve ML1M --port 9600 --max-batch 32
                                    # long-lived recommendation service:
                                    # micro-batched /recommend with an LRU
                                    # result cache, plus /metrics (append
@@ -591,7 +591,7 @@ def _run_serve(ns: argparse.Namespace) -> int:
     """
     if len(ns.args) != 1:
         print("usage: repro-als serve <dataset|checkpoint> [--port P]"
-              " [--max-batch B] [--batch-window S] [--cache-size N]"
+              " [--max-batch B] [--cache-size N]"
               " [--serve-workers W] [--duration S] [--algorithm A] [--k K]"
               " [--iterations I] [--scale S] [--n N]", file=sys.stderr)
         return 2
@@ -632,16 +632,15 @@ def _run_serve(ns: argparse.Namespace) -> int:
         label = f"{spec.abbr} scale={scale:g} (m={spec.m}, n={spec.n})"
     enable()  # service counters/sketches and /metrics need the registry live
     service = RecommendService(
-        rec, max_batch=ns.max_batch, batch_window=ns.batch_window,
-        cache_size=ns.cache_size, workers=ns.serve_workers,
+        rec, max_batch=ns.max_batch, cache_size=ns.cache_size,
+        workers=ns.serve_workers,
     )
     port = ns.port if ns.port is not None else 0
     with service, ResourceSampler(), ServiceEndpoint(
         service, port=port, default_n=ns.n
     ) as endpoint:
         print(f"serving {label} on {endpoint.url('/recommend')} "
-              f"(max_batch={ns.max_batch}, "
-              f"window={ns.batch_window * 1e3:g} ms, cache={ns.cache_size}, "
+              f"(max_batch={ns.max_batch}, cache={ns.cache_size}, "
               f"workers={ns.serve_workers}); /metrics, /healthz and /stats "
               f"mounted (Ctrl-C to stop)", flush=True)
         try:
@@ -822,11 +821,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-batch", type=int, default=32, metavar="B",
         help="serve: max requests coalesced into one engine query "
         "(default 32; 1 disables micro-batching)",
-    )
-    parser.add_argument(
-        "--batch-window", type=float, default=0.002, metavar="SECONDS",
-        help="serve: coalescing window — how long a worker waits for "
-        "more requests before querying (default 0.002)",
     )
     parser.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",

@@ -4,14 +4,18 @@
 into a query *system*.  The paper's central idea — amortize fixed cost
 over many independent k-sized problems — applies to serving verbatim:
 
-* **Micro-batch coalescing.**  Requests are queued and a worker merges
-  every request that arrives within ``batch_window`` seconds (or up to
-  ``max_batch`` users) into *one* batched ``query()`` call, so tile
-  setup, exclusion lookup and the GEMM launch amortize exactly like the
-  paper's thread batching amortizes per-row solve overhead.  Requests
-  for different ``n`` coalesce too: the batch queries ``max(n)`` and
-  each caller gets its prefix (top-n is a prefix of top-n_max under the
-  engine's total order).
+* **Micro-batch coalescing.**  Requests are queued, and a worker
+  serves whatever is queued (up to ``max_batch`` users) as *one*
+  batched ``query()`` call, so tile setup, exclusion lookup and the
+  GEMM launch amortize exactly like the paper's thread batching
+  amortizes per-row solve overhead.  The worker is work-conserving: it
+  never waits for a batch to fill while requests are queued, and an
+  idle worker serves the first arrival at once.  After answering a
+  batch it yields the interpreter until the callers it just answered
+  stop resubmitting, so a closed loop of B clients still forms batches
+  of B.  Requests for different ``n`` coalesce too: the batch queries
+  ``max(n)`` and each caller gets its prefix (top-n is a prefix of
+  top-n_max under the engine's total order).
 * **LRU result cache.**  Answers are cached per ``(generation, user,
   n)`` and served on :meth:`submit` without touching the engine.
   Invalidation is explicit: rating updates and item fold-in/hot-swap
@@ -150,10 +154,11 @@ class RecommendService:
 
     ``recommender`` is a fitted :class:`repro.api.Recommender` (duck
     typed: anything with ``model``, ``_train_csr``, ``algorithm`` and
-    the fold-in methods serves).  ``max_batch=1`` or ``batch_window=0``
-    disables coalescing beyond draining what is already queued — the
-    "unbatched" baseline of the serving benchmark; ``cache_size=0``
-    disables the result cache.
+    the fold-in methods serves).  Each worker serves what is queued, up
+    to ``max_batch`` requests per engine call; ``max_batch=1`` is the
+    "unbatched" baseline of the serving benchmark.  ``cache_size=0``
+    disables the result cache.  A request whose future is cancelled
+    before its batch forms is dropped unscored.
     """
 
     def __init__(
@@ -161,7 +166,6 @@ class RecommendService:
         recommender,
         *,
         max_batch: int = 32,
-        batch_window: float = 0.002,
         cache_size: int = 4096,
         workers: int = 1,
         exclude_seen: bool = True,
@@ -169,15 +173,12 @@ class RecommendService:
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._rec = recommender
         self.max_batch = int(max_batch)
-        self.batch_window = float(batch_window)
         self.cache_size = int(cache_size)
         self.exclude_seen = bool(exclude_seen)
         self._engine_kwargs = dict(engine_kwargs or {})
@@ -294,42 +295,50 @@ class RecommendService:
     # worker loop
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            try:
-                self._serve_batch(batch)
-            except BaseException as exc:  # keep the worker alive
-                self.stats.bump(errors=1)
-                for req in batch:
-                    if not req.future.done():
-                        req.future.set_exception(exc)
+        while (batch := self._next_batch()) is not None:
+            if batch:
+                try:
+                    self._serve_batch(batch)
+                except Exception as exc:  # fail this batch, keep serving
+                    self.stats.bump(errors=1)
+                    for req in batch:
+                        if not req.future.done():
+                            req.future.set_exception(exc)
+                self._yield_to_answered()
 
     def _next_batch(self) -> list[_Request] | None:
-        """Pop one request, then coalesce until the window or cap closes."""
+        """Block while the queue is empty, then take up to ``max_batch``.
+
+        Returns the requests still wanted: each future moves to running
+        here, and one its caller cancelled is dropped unscored.
+        """
         with self._qcond:
             while not self._queue:
                 if self._stopping:
                     return None
                 self._qcond.wait()
-            batch = [self._queue.popleft()]
-            if self.max_batch > 1 and self.batch_window > 0:
-                deadline = time.monotonic() + self.batch_window
-                while len(batch) < self.max_batch:
-                    if self._queue:
-                        batch.append(self._queue.popleft())
-                        continue
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._stopping:
-                        break
-                    self._qcond.wait(timeout=remaining)
-            else:
-                while len(batch) < self.max_batch and self._queue:
-                    batch.append(self._queue.popleft())
+            take = min(len(self._queue), self.max_batch)
+            batch = [self._queue.popleft() for _ in range(take)]
             if self._queue:
                 self._qcond.notify()
-        return batch
+        return [r for r in batch if r.future.set_running_or_notify_cancel()]
+
+    def _yield_to_answered(self) -> None:
+        """Let the callers just answered resubmit before the next batch.
+
+        Without this the worker pops the next batch before they run
+        again, and a closed loop of B clients forms batches of ~B/2.
+        Yield while each yield brings new requests; stop at the first
+        that brings none, or once a full batch is queued.  The queue
+        length is read unlocked: it only decides when to stop yielding.
+        """
+        depth = len(self._queue)
+        while depth < self.max_batch:
+            time.sleep(0)
+            queued = len(self._queue)
+            if queued <= depth:
+                return
+            depth = queued
 
     def _serve_batch(self, batch: list[_Request]) -> None:
         # ONE state read serves the whole batch: generation, engine and

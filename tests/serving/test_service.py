@@ -11,6 +11,8 @@ batched reference query bit for bit (the same trick as
 from __future__ import annotations
 
 import json
+import math
+import sys
 import threading
 import time
 import urllib.error
@@ -57,33 +59,90 @@ def rec():
     return make_rec(seed=5)
 
 
+def batches_behind_held(workers: int, total: int, max_batch: int) -> int:
+    """Batch count when ``workers`` requests are held in the engine and
+    the other ``total - workers`` queue behind them: each held request
+    is a batch of its own, and the queue drains in full batches."""
+    return workers + math.ceil((total - workers) / max_batch)
+
+
+class HeldEngine:
+    """Holds every engine call of a running service until :meth:`release`.
+
+    Wraps the served engine's ``query`` in place.  :meth:`hold` submits
+    one request per worker and returns once every worker sits inside
+    the engine, so the requests submitted next all queue up and form
+    batches deterministically on release.  ``calls`` records the users
+    of every engine call; a call that scores ``fail_user`` raises.
+    """
+
+    def __init__(self, svc: RecommendService, fail_user: int | None = None):
+        self._svc = svc
+        self._go = threading.Event()
+        self._entered = threading.Semaphore(0)
+        self.calls: list[list[int]] = []
+        engine = svc._state.engine
+        original = engine.query
+
+        def query(users, n=10, exclude=None):
+            self.calls.append(users.tolist())
+            self._entered.release()
+            if not self._go.wait(10):
+                raise TimeoutError("engine held past the test's timeout")
+            if fail_user in users:
+                raise RuntimeError("injected engine fault")
+            return original(users, n, exclude)
+
+        engine.query = query
+
+    def hold(self, users, n: int) -> list:
+        futures = []
+        for user in users:
+            futures.append(self._svc.submit(user, n))
+            assert self._entered.acquire(timeout=10)
+        return futures
+
+    def release(self) -> None:
+        self._go.set()
+
+
+WORKERS = pytest.mark.parametrize("workers", [1, 2])
+
+
 class TestRequestPath:
-    def test_results_match_reference_and_coalesce(self, rec):
+    @WORKERS
+    def test_results_match_reference_and_coalesce(self, rec, workers):
         expected = expected_rows(rec, 10)
-        with RecommendService(rec, max_batch=4, batch_window=0.05) as svc:
-            futures = [svc.submit(u, 10) for u in range(16)]
+        with RecommendService(rec, max_batch=4, workers=workers) as svc:
+            held = HeldEngine(svc)
+            futures = held.hold(range(workers), 10)
+            futures += [svc.submit(u, 10) for u in range(workers, 16)]
+            held.release()
             for u, fut in enumerate(futures):
                 res = fut.result(10)
                 assert res.recommendations == expected[u]
                 assert res.user == u and res.generation == 0
         stats = svc.stats.snapshot()
         assert stats["requests"] == 16
-        assert stats["batches"] < 16  # coalescing actually happened
-        assert stats["mean_batch_size"] > 1.0
+        assert stats["batches"] == batches_behind_held(workers, 16, 4)
 
-    def test_mixed_n_requests_share_a_batch(self, rec):
+    @WORKERS
+    def test_mixed_n_requests_share_a_batch(self, rec, workers):
         """Different n coalesce; each caller gets its own prefix."""
         exp3, exp7 = expected_rows(rec, 3), expected_rows(rec, 7)
-        with RecommendService(rec, max_batch=8, batch_window=0.05) as svc:
+        with RecommendService(rec, max_batch=8, workers=workers) as svc:
+            held = HeldEngine(svc)
+            held.hold(range(10, 10 + workers), 5)
             f_a = svc.submit(1, 3)
             f_b = svc.submit(2, 7)
+            held.release()
             assert f_a.result(10).recommendations == exp3[1]
             assert f_b.result(10).recommendations == exp7[2]
+        assert svc.stats.snapshot()["batches"] == workers + 1
 
     def test_unbatched_configuration(self, rec):
         expected = expected_rows(rec, 5)
-        with RecommendService(rec, max_batch=1, batch_window=0.0,
-                              cache_size=0) as svc:
+        with RecommendService(rec, max_batch=1, cache_size=0) as svc:
             for u in (0, 3, 9):
                 assert svc.recommend(u, 5) == list(expected[u])
         assert svc.stats.snapshot()["mean_batch_size"] == 1.0
@@ -97,16 +156,125 @@ class TestRequestPath:
         with pytest.raises(RuntimeError):
             svc.submit(0, 5)  # not running any more
 
-    def test_stop_drains_queue(self, rec):
-        svc = RecommendService(rec, max_batch=4, batch_window=0.2).start()
-        futures = [svc.submit(u, 5) for u in range(10)]
+    @WORKERS
+    def test_stop_drains_queue(self, rec, workers):
+        svc = RecommendService(rec, max_batch=4, workers=workers).start()
+        held = HeldEngine(svc)
+        futures = held.hold(range(workers), 5)
+        futures += [svc.submit(u, 5) for u in range(workers, 10)]
+        stopper = threading.Thread(target=svc.stop)
+        stopper.start()
+        deadline = time.monotonic() + 10
+        while not svc._stopping and time.monotonic() < deadline:
+            time.sleep(0.001)
+        held.release()  # stop() is under way with the queue still full
+        stopper.join(10)
+        assert not stopper.is_alive()
+        assert all(f.result(0).recommendations for f in futures)
+        assert svc.stats.snapshot()["batches"] == batches_behind_held(
+            workers, 10, 4)
+
+
+class TestCancelAndFaults:
+    @WORKERS
+    def test_cancelled_request_is_dropped_unscored(self, rec, workers):
+        """A cancelled future must not fail the requests batched with it."""
+        expected = expected_rows(rec, 5)
+        users = list(range(10, 16))
+        with RecommendService(rec, max_batch=8, workers=workers) as svc:
+            held = HeldEngine(svc)
+            held.hold(range(workers), 5)
+            futures = [svc.submit(u, 5) for u in users]
+            assert futures[1].cancel()
+            held.release()
+            for pos, (user, fut) in enumerate(zip(users, futures)):
+                if pos == 1:
+                    assert fut.cancelled()
+                else:
+                    assert fut.result(10).recommendations == expected[user]
+        assert users[1] not in sum(held.calls, [])
+        stats = svc.stats.snapshot()
+        assert stats["errors"] == 0
+        assert stats["batches"] == workers + 1
+        assert stats["batched_users"] == workers + len(users) - 1
+
+    @WORKERS
+    def test_all_cancelled_batch_makes_no_engine_call(self, rec, workers):
+        svc = RecommendService(rec, workers=workers).start()
+        held = HeldEngine(svc)
+        held.hold(range(workers), 5)
+        futures = [svc.submit(u, 5) for u in (20, 21, 22)]
+        assert all(f.cancel() for f in futures)
+        held.release()
         svc.stop()
-        assert all(f.result(1).recommendations for f in futures)
+        assert len(held.calls) == workers
+        stats = svc.stats.snapshot()
+        assert stats["errors"] == 0 and stats["batches"] == workers
+
+    @WORKERS
+    def test_engine_fault_fails_only_its_batch(self, rec, workers):
+        expected = expected_rows(rec, 5)
+        with RecommendService(rec, max_batch=4, cache_size=0,
+                              workers=workers) as svc:
+            held = HeldEngine(svc, fail_user=0)
+            doomed, *others = held.hold(range(workers), 5)
+            queued = range(workers, 12)
+            futures = [svc.submit(u, 5) for u in queued]
+            held.release()
+            with pytest.raises(RuntimeError, match="injected"):
+                doomed.result(10)
+            for user, fut in zip([*range(1, workers), *queued],
+                                 [*others, *futures]):
+                assert fut.result(10).recommendations == expected[user]
+            assert all(t.is_alive() for t in svc._threads)
+            assert svc.recommend(5, 5) == list(expected[5])
+        assert svc.stats.snapshot()["errors"] == 1
+
+    @WORKERS
+    def test_stop_under_load_leaves_no_future_pending(self, rec, workers):
+        expected = expected_rows(rec, 5)
+        svc = RecommendService(rec, max_batch=4, cache_size=0,
+                               workers=workers).start()
+        submitted: list[list] = [[] for _ in range(4)]
+
+        def client(i: int) -> None:
+            rng = np.random.default_rng(i)
+            for _ in range(2000):
+                user = int(rng.integers(M))
+                try:
+                    submitted[i].append((user, svc.submit(user, 5)))
+                except RuntimeError:
+                    return
+
+        clients = [threading.Thread(target=client, args=(i,))
+                   for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in clients:
+                t.start()
+            deadline = time.monotonic() + 10
+            while (sum(map(len, submitted)) < 200
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            svc.stop()
+            for t in clients:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in clients)
+        answered = [pair for reqs in submitted for pair in reqs]
+        assert len(answered) >= 200
+        assert all(fut.done() for _, fut in answered)
+        for user, fut in answered:
+            assert fut.result(0).recommendations == expected[user]
+        with pytest.raises(RuntimeError):
+            svc.submit(0, 5)
 
 
 class TestResultCache:
     def test_hit_on_repeat(self, rec):
-        with RecommendService(rec, max_batch=1, batch_window=0.0) as svc:
+        with RecommendService(rec, max_batch=1) as svc:
             first = svc.submit(4, 6).result(10)
             second = svc.submit(4, 6).result(10)
         assert not first.cached and second.cached
@@ -205,8 +373,7 @@ class TestHotSwap:
                 except Exception as exc:  # pragma: no cover - fail loudly
                     errors.append(exc)
 
-        with RecommendService(rec, max_batch=4, batch_window=0.001,
-                              cache_size=0) as svc:
+        with RecommendService(rec, max_batch=4, cache_size=0) as svc:
             threads = [threading.Thread(target=client, args=(i,))
                        for i in range(4)]
             for t in threads:
