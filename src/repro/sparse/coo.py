@@ -93,7 +93,11 @@ class COOMatrix:
     # transformations
     # ------------------------------------------------------------------
     def deduplicate(self) -> "COOMatrix":
-        """Resolve duplicate coordinates, keeping the last occurrence."""
+        """Resolve duplicate coordinates, keeping the last occurrence.
+
+        The result lists its entries in row-major ``(row, col)`` order
+        (:meth:`CSRMatrix.from_coo` relies on this and sorts nothing).
+        """
         if self.nnz == 0:
             return self
         keys = self.row * self.shape[1] + self.col

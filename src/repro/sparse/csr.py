@@ -190,14 +190,14 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSRMatrix":
+        # deduplicate() returns its entries in ascending row·n + col key
+        # order, which is CSR's row-major (row, col) order already.
         coo = coo.deduplicate()
         m, _ = coo.shape
-        order = np.lexsort((coo.col, coo.row))
-        row = coo.row[order]
-        counts = np.bincount(row, minlength=m)
+        counts = np.bincount(coo.row, minlength=m)
         row_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptr[1:])
-        return cls(coo.shape, coo.value[order], coo.col[order], row_ptr)
+        return cls(coo.shape, coo.value, coo.col, row_ptr)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":

@@ -261,3 +261,32 @@ def test_property_csr_csc_consistent(dense):
 def test_property_transpose_roundtrip(dense):
     csr = CSRMatrix.from_dense(dense)
     assert csr.transpose_to_csr().transpose_to_csr() == csr
+
+
+@st.composite
+def coo_with_duplicates(draw):
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    nnz = draw(st.integers(0, 40))
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    # Few distinct cells, so duplicates (and empty rows) are common.
+    pool = draw(st.lists(cell, min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=nnz, max_size=nnz))
+    values = draw(st.lists(st.floats(-5, 5, width=32), min_size=nnz, max_size=nnz))
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+    return COOMatrix((m, n), rows, cols, np.array(values, dtype=np.float32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coo=coo_with_duplicates())
+def test_property_from_coo_matches_lexsort_reference(coo):
+    """``from_coo`` sorts once (in ``deduplicate``); a second row-major
+    lexsort over its result must be the identity."""
+    dedup = coo.deduplicate()
+    order = np.lexsort((dedup.col, dedup.row))
+    row_ptr = np.zeros(coo.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dedup.row, minlength=coo.shape[0]), out=row_ptr[1:])
+    csr = CSRMatrix.from_coo(coo)
+    assert csr.value.tobytes() == dedup.value[order].tobytes()
+    assert csr.col_idx.tobytes() == dedup.col[order].tobytes()
+    assert csr.row_ptr.tobytes() == row_ptr.tobytes()
