@@ -65,22 +65,18 @@ def _train_curve(
     from repro.core.alswr import train_als_wr
     from repro.core.implicit import ImplicitConfig, train_implicit_als
 
+    kw = dict(
+        k=k, lam=LAM, iterations=iterations, seed=seed,
+        block_size=block_size, block_schedule=block_schedule,
+    )
     if algorithm == "implicit":
-        cfg = ImplicitConfig(
-            k=k, lam=LAM, alpha=ALPHA, iterations=iterations, seed=seed,
-            block_size=block_size, block_schedule=block_schedule,
-        )
-        model = train_implicit_als(ratings, cfg)
-        stats = model.stats
+        model = train_implicit_als(ratings, ImplicitConfig(alpha=ALPHA, **kw))
     else:
-        cfg = ALSConfig(
-            k=k, lam=LAM, iterations=iterations, seed=seed,
-            block_size=block_size, block_schedule=block_schedule,
-        )
         trainer = train_als if algorithm == "als" else train_als_wr
-        model = trainer(ratings, cfg)
-        stats = model.history
-    return model, [(float(s.loss), float(s.elapsed_seconds)) for s in stats]
+        model = trainer(ratings, ALSConfig(**kw))
+    return model, [
+        (float(s.loss), float(s.elapsed_seconds)) for s in model.history
+    ]
 
 
 def _time_to_target(curve: list[tuple[float, float]], target: float) -> float:

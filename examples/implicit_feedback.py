@@ -37,7 +37,7 @@ def main() -> None:
         split.train, repro.ImplicitConfig(k=16, lam=0.1, alpha=20.0, iterations=8)
     )
     print("weighted loss per iteration:",
-          " ".join(f"{v:.0f}" for v in model.history))
+          " ".join(f"{v:.0f}" for v in model.losses()))
 
     R_train = repro.CSRMatrix.from_coo(split.train)
     als_metrics = repro.evaluate_ranking(model.score, R_train, split.test, n=10)

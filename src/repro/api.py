@@ -35,6 +35,7 @@ __all__ = ["Recommender"]
 _SAVE_CHUNK_ROWS = 1 << 16
 
 _ALGORITHMS = {"als": train_als, "als-wr": train_als_wr, "implicit": train_implicit_als}
+_CONFIGS = {"als": ALSConfig, "als-wr": ALSConfig, "implicit": ImplicitConfig}
 
 
 def _append_rows(base: CSRMatrix, new: CSRMatrix) -> CSRMatrix:
@@ -85,16 +86,12 @@ class Recommender:
         if block_schedule is not None:
             knobs["block_schedule"] = block_schedule
         if algorithm == "implicit":
-            self.config: ALSConfig | ImplicitConfig = ImplicitConfig(
-                k=k, lam=lam, iterations=iterations, seed=seed, alpha=alpha,
-                **knobs,
-            )
-        else:
-            self.config = ALSConfig(
-                k=k, lam=lam, iterations=iterations, seed=seed, **knobs
-            )
+            knobs["alpha"] = alpha
+        self.config: ALSConfig = _CONFIGS[algorithm](
+            k=k, lam=lam, iterations=iterations, seed=seed, **knobs
+        )
         self.algorithm = algorithm
-        self._model: ALSModel | ImplicitModel | None = None
+        self._model: ALSModel | None = None
         self._train_csr: CSRMatrix | ShardedCSR | None = None
         self._engine: TopNEngine | None = None
 
@@ -126,7 +123,7 @@ class Recommender:
         return self._model is not None
 
     @property
-    def model(self) -> ALSModel | ImplicitModel:
+    def model(self) -> ALSModel:
         if self._model is None:
             raise RuntimeError("call fit() first")
         return self._model
@@ -349,27 +346,18 @@ class Recommender:
         the legacy single-file compressed envelope instead, which
         materializes a second copy of the factors while compressing.
 
-        Explicit (:class:`ALSModel`) and implicit
-        (:class:`~repro.core.implicit.ImplicitModel`) models share the
-        same envelope: ``X``/``Y`` factor arrays plus JSON metadata
-        whose ``algorithm`` field selects the reconstruction path.
-        Implicit history is the per-iteration weighted loss (floats);
-        explicit history is the per-iteration :class:`IterationStats`.
+        Every algorithm shares the same envelope: ``X``/``Y`` factor
+        arrays plus JSON metadata whose ``algorithm`` field selects the
+        config and model types, and whose ``history`` is the
+        per-iteration :class:`IterationStats` (an implicit model's
+        ``loss`` is the weighted loss, its ``train_rmse`` null).
         """
         model = self.model
-        if isinstance(model, ImplicitModel):
-            history: list = list(model.history)  # weighted loss floats
-        else:
-            history = [asdict(stats) for stats in model.history]
         meta = {
             "algorithm": self.algorithm,
             "config": asdict(self.config),
-            "history": history,
+            "history": [asdict(stats) for stats in model.history],
         }
-        if isinstance(model, ImplicitModel) and model.stats:
-            # Structured per-iteration tracking (loss + elapsed seconds)
-            # rides alongside the historical float history.
-            meta["stats"] = [asdict(stats) for stats in model.stats]
         if str(path).endswith(".npz"):
             np.savez_compressed(
                 path,
@@ -461,31 +449,24 @@ class Recommender:
                 f"{path}: factor shapes {X.shape}/{Y.shape} do not match "
                 f"the stored config (k={k})"
             )
+        # Files written before history persistence lack the key; they
+        # load with an empty history, as before.
         history = meta.get("history", [])
-        if algorithm == "implicit":
-            config = ImplicitConfig(**cfg)
-            rec = cls(
-                k=config.k, lam=config.lam, iterations=config.iterations,
-                algorithm=algorithm, seed=config.seed, alpha=config.alpha,
-            )
-            rec.config = config  # keep persisted knobs (assembly, workers, …)
-            rec._model = ImplicitModel(
-                X=X, Y=Y, config=config, history=[float(h) for h in history],
-                stats=[
-                    IterationStats(**stats) for stats in meta.get("stats", [])
-                ],
-            )
-        else:
-            config = ALSConfig(**cfg)
-            rec = cls(
-                k=config.k, lam=config.lam, iterations=config.iterations,
-                algorithm=algorithm, seed=config.seed,
-            )
-            rec.config = config
-            # Files written before history persistence lack the key; they
-            # load with an empty history, as before.
-            rec._model = ALSModel(
-                X=X, Y=Y, config=config,
-                history=[IterationStats(**stats) for stats in history],
-            )
+        if history and not isinstance(history[0], dict):
+            # Older implicit files: a float loss per iteration, plus the
+            # structured `stats` list when it was recorded.
+            history = meta.get("stats") or [
+                {"iteration": i + 1, "loss": float(h), "train_rmse": None}
+                for i, h in enumerate(history)
+            ]
+        cfg = dict(cfg)
+        if cfg.pop("cholesky", True) is False and cfg.get("solver") is None:
+            cfg["solver"] = "gaussian"  # the retired S3 toggle's meaning
+        rec = cls(algorithm=algorithm)
+        rec.config = _CONFIGS[algorithm](**cfg)  # every persisted knob
+        model_type = ImplicitModel if algorithm == "implicit" else ALSModel
+        rec._model = model_type(
+            X=X, Y=Y, config=rec.config,
+            history=[IterationStats(**stats) for stats in history],
+        )
         return rec

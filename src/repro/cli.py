@@ -316,10 +316,10 @@ def _run_train(ns: argparse.Namespace) -> int:
     history = rec.model.history
     if history:
         last = history[-1]
-        if hasattr(last, "train_rmse"):
+        if last.train_rmse is not None:
             print(f"final train RMSE: {last.train_rmse:.4f}")
-        else:
-            print(f"final weighted loss: {last:.4f}")
+        else:  # implicit: the loss is the confidence-weighted one
+            print(f"final weighted loss: {last.loss:.4f}")
     if ns.save:
         rec.save(ns.save)
         print(f"model saved to {ns.save}")

@@ -3,12 +3,16 @@
 Alternates exact least-squares updates of X (rows, CSR sweep) and Y
 (columns, CSC sweep) until the iteration budget is reached — the same
 fixed-iteration regime the paper benchmarks (5 iterations, k = 10,
-λ = 0.1 unless stated, §IV-B).
+λ = 0.1 unless stated, §IV-B).  The one loop serves all three trainers:
+plain ALS here, ALS-WR (:mod:`repro.core.alswr`) and implicit feedback
+(:mod:`repro.core.implicit`) differ only in the per-row system and the
+tracked loss, which a small objective supplies.
 """
 
 from __future__ import annotations
 
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -61,16 +65,15 @@ class ALSConfig:
     iterations: int = 5  # sweeps (paper's benchmark setting)
     tol: float = 0.0  # relative-improvement stopping threshold
     seed: int = 0
-    cholesky: bool = True  # legacy S3 toggle (§V-C): False = Gaussian; `solver` wins
     init_scale: float = 0.1
-    track_loss: bool = True  # compute Eq. 2 after every iteration
+    track_loss: bool = True  # compute the loss (Eq. 2) after every iteration
     # S1/S2 assembly code variant (§III-D analogue); None defers to the
     # configured/environment defaults of repro.linalg.normal_equations.
     assembly: str | None = None  # "binned" | "scatter" | "auto"
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
     # S3 solver code variant; None defers to configure_solver /
-    # REPRO_SOLVER, then the legacy `cholesky` boolean above.
+    # REPRO_SOLVER, then the batched LAPACK default.
     solver: str | None = None  # "lapack" | "cholesky" | "gaussian"
     # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
     # threads; None defers to configure_workers / REPRO_WORKERS (serial).
@@ -209,6 +212,153 @@ def resolve_factor_dir(config: "ALSConfig") -> str | None:
     return config.factors_dir or tempfile.mkdtemp(prefix="repro-factors-")
 
 
+def _eq2_loss(view, X: np.ndarray, Y: np.ndarray, config: ALSConfig):
+    """Eq. 2 and the train RMSE, from one pass over the ratings."""
+    return loss_and_rmse(view, X, Y, config.lam)
+
+
+@dataclass(frozen=True)
+class _Objective:
+    """What sets one ALS variant apart inside Algorithm 1's loop.
+
+    ``sweep_kw`` rides into every half-sweep and block update next to
+    the config's solver/assembly knobs: ``weighted=True`` selects
+    ALS-WR's ``λ·n_u`` regularizer, ``implicit_alpha`` the implicit
+    kernel (whose full half-sweeps also get the fixed side's ``FᵀF``).
+    ``loss(view, X, Y, config)`` returns ``(loss, train_rmse or None)``
+    for the iteration history.
+    """
+
+    algorithm: str  # the als.train span's `algorithm` attribute
+    loss: Callable[..., tuple[float, float | None]]
+    sweep_kw: dict = field(default_factory=dict)
+    model: type[ALSModel] = ALSModel
+
+
+def _half_sweep(
+    executor: SweepExecutor,
+    R: CSRMatrix | ShardedCSR,
+    F: np.ndarray,
+    lam: float,
+    F_prev: np.ndarray | None,
+    out: np.ndarray | None,
+    sweep_kw: dict,
+) -> np.ndarray:
+    """One full half-sweep (Eq. 4): every row of ``R`` against fixed ``F``.
+
+    Explicit rows without ratings keep ``F_prev``.  The implicit kernel
+    gets the dense ``FᵀF`` computed once here and broadcast to every
+    row (the Hu-Koren trick); its empty rows resolve to zero.
+    """
+    if sweep_kw.get("implicit_alpha") is None:
+        return executor.half_sweep(R, F, lam, X_prev=F_prev, out=out, **sweep_kw)
+    F = np.ascontiguousarray(F, dtype=np.float64)
+    return executor.half_sweep(R, F, lam, base_gram=F.T @ F, out=out, **sweep_kw)
+
+
+def _train(
+    views: tuple,
+    config: ALSConfig,
+    objective: _Objective,
+    validation: COOMatrix | None = None,
+) -> ALSModel:
+    """Algorithm 1 for every variant: the one alternating loop.
+
+    ``views`` is :func:`training_views`' triple.  Each iteration runs
+    both full half-sweeps — or, with a ``block_size``, the iALS++
+    subspace updates of :func:`subspace_iteration` — then records the
+    objective's loss, stopping early once the relative improvement
+    falls below ``config.tol``.
+    """
+    R_rows, R_cols, loss_view = views
+    with span(
+        "als.train",
+        algorithm=objective.algorithm,
+        k=config.k,
+        iterations=config.iterations,
+        nnz=R_rows.nnz,
+        out_of_core=R_cols is not None,
+    ):
+        with span("als.build_views"):
+            if R_cols is None:
+                R_cols = CSCMatrix.from_csr(R_rows).transpose_as_csr()
+            m, n = R_rows.shape
+            X, Y = init_factors(
+                m, n, config.k, seed=config.seed, scale=config.init_scale,
+                memmap_dir=resolve_factor_dir(config),
+            )
+
+        inplace = config.factors == "memmap"
+        sweep_kw = dict(
+            solver=config.solver, assembly=config.assembly,
+            tile_nnz=config.tile_nnz, compute_dtype=config.assembly_dtype,
+            **objective.sweep_kw,
+        )
+        block_d = resolve_block_size(
+            config.block_size, config.k,
+            nnz_per_row=R_rows.nnz / max(1, m),
+            compute_dtype=config.assembly_dtype,
+        )
+        blocks = None if block_d is None else make_blocks(config.k, block_d)
+        state = SubspaceState()  # carried across iterations
+        history: list[IterationStats] = []
+        elapsed = 0.0
+        with SweepExecutor(config.workers) as executor:
+            for it in range(1, config.iterations + 1):
+                with span("als.iteration", iteration=it):
+                    obs_metrics.inc("als.iterations")
+                    t_iter = perf_counter()
+                    if blocks is None:
+                        t_hs = perf_counter()
+                        with span("als.half_sweep", side="X", iteration=it):
+                            X = _half_sweep(
+                                executor, R_rows, Y, config.lam, X,
+                                X if inplace else None, sweep_kw,
+                            )
+                        obs_metrics.observe_latency(
+                            "als.half_sweep.seconds", perf_counter() - t_hs
+                        )
+                        t_hs = perf_counter()
+                        with span("als.half_sweep", side="Y", iteration=it):
+                            Y = _half_sweep(
+                                executor, R_cols, X, config.lam, Y,
+                                Y if inplace else None, sweep_kw,
+                            )
+                        obs_metrics.observe_latency(
+                            "als.half_sweep.seconds", perf_counter() - t_hs
+                        )
+                    else:
+                        X, Y = subspace_iteration(
+                            executor, R_rows, R_cols, X, Y, config.lam,
+                            blocks, config.block_schedule, sweep_kw,
+                            state=state, inplace=inplace, iteration=it,
+                        )
+                    elapsed += perf_counter() - t_iter
+                    if config.track_loss:
+                        with span("als.loss", iteration=it):
+                            loss, train_rmse = objective.loss(
+                                loss_view, X, Y, config
+                            )
+                            history.append(
+                                IterationStats(
+                                    iteration=it,
+                                    loss=loss,
+                                    train_rmse=train_rmse,
+                                    validation_rmse=(
+                                        rmse(validation, X, Y)
+                                        if validation is not None
+                                        else None
+                                    ),
+                                    elapsed_seconds=elapsed,
+                                )
+                            )
+                if config.tol > 0 and len(history) >= 2:
+                    prev, cur = history[-2].loss, history[-1].loss
+                    if prev > 0 and (prev - cur) / prev < config.tol:
+                        break
+        return objective.model(X=X, Y=Y, config=config, history=history)
+
+
 def train_als(
     ratings: COOMatrix | CSRMatrix | ShardStore,
     config: ALSConfig | None = None,
@@ -224,94 +374,7 @@ def train_als(
     over the CSC view (as the paper stores them, §III-A).  When a
     ``validation`` set is given its RMSE is tracked per iteration.
     """
-    config = config or ALSConfig()
-    R_rows, R_cols, loss_view = training_views(ratings)
-    sharded = R_cols is not None
-    with span(
-        "als.train",
-        algorithm="als",
-        k=config.k,
-        iterations=config.iterations,
-        nnz=R_rows.nnz,
-        out_of_core=sharded,
-    ):
-        with span("als.build_views"):
-            if R_cols is None:
-                R_cols = CSCMatrix.from_csr(R_rows).transpose_as_csr()
-            m, n = R_rows.shape
-            X, Y = init_factors(
-                m, n, config.k, seed=config.seed, scale=config.init_scale,
-                memmap_dir=resolve_factor_dir(config),
-            )
-
-        model = ALSModel(X=X, Y=Y, config=config)
-        inplace = config.factors == "memmap"
-        sweep_kw = dict(
-            solver=config.solver, cholesky=config.cholesky,
-            assembly=config.assembly, tile_nnz=config.tile_nnz,
-            compute_dtype=config.assembly_dtype,
-        )
-        block_d = resolve_block_size(
-            config.block_size, config.k,
-            nnz_per_row=R_rows.nnz / max(1, m),
-            compute_dtype=config.assembly_dtype,
-        )
-        blocks = None if block_d is None else make_blocks(config.k, block_d)
-        state = SubspaceState()  # carried across iterations
-        elapsed = 0.0
-        with SweepExecutor(config.workers) as executor:
-            for it in range(1, config.iterations + 1):
-                with span("als.iteration", iteration=it):
-                    obs_metrics.inc("als.iterations")
-                    t_iter = perf_counter()
-                    if blocks is None:
-                        t_hs = perf_counter()
-                        with span("als.half_sweep", side="X", iteration=it):
-                            X = executor.half_sweep(
-                                R_rows, Y, config.lam, X_prev=X,
-                                out=X if inplace else None, **sweep_kw
-                            )
-                        obs_metrics.observe_latency(
-                            "als.half_sweep.seconds", perf_counter() - t_hs
-                        )
-                        t_hs = perf_counter()
-                        with span("als.half_sweep", side="Y", iteration=it):
-                            Y = executor.half_sweep(
-                                R_cols, X, config.lam, X_prev=Y,
-                                out=Y if inplace else None, **sweep_kw
-                            )
-                        obs_metrics.observe_latency(
-                            "als.half_sweep.seconds", perf_counter() - t_hs
-                        )
-                    else:
-                        X, Y = subspace_iteration(
-                            executor, R_rows, R_cols, X, Y, config.lam,
-                            blocks, config.block_schedule, sweep_kw,
-                            state=state, inplace=inplace, iteration=it,
-                        )
-                    elapsed += perf_counter() - t_iter
-                    if config.track_loss:
-                        with span("als.loss", iteration=it):
-                            loss, train_rmse = loss_and_rmse(
-                                loss_view, X, Y, config.lam
-                            )
-                            model.history.append(
-                                IterationStats(
-                                    iteration=it,
-                                    loss=loss,
-                                    train_rmse=train_rmse,
-                                    validation_rmse=(
-                                        rmse(validation, X, Y)
-                                        if validation is not None
-                                        else None
-                                    ),
-                                    elapsed_seconds=elapsed,
-                                )
-                            )
-                if config.track_loss and config.tol > 0 and len(model.history) >= 2:
-                    prev = model.history[-2].loss
-                    cur = model.history[-1].loss
-                    if prev > 0 and (prev - cur) / prev < config.tol:
-                        break
-        model.X, model.Y = X, Y
-    return model
+    return _train(
+        training_views(ratings), config or ALSConfig(),
+        _Objective("als", _eq2_loss), validation,
+    )

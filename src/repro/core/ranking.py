@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.als import ALSModel
-from repro.core.implicit import ImplicitModel
 from repro.serving.engine import TopNEngine, topn_from_scores
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -99,7 +98,7 @@ def evaluate_ranking(
 
     n_catalog = train.shape[1]
     top_n = min(n, n_catalog)
-    if isinstance(scorer, (ALSModel, ImplicitModel)):
+    if isinstance(scorer, ALSModel):
         if engine is None:
             engine = TopNEngine.from_model(scorer)
         result = engine.query(users, n=top_n, exclude=train)

@@ -317,7 +317,6 @@ def subspace_iteration(
     schedule: str,
     sweep_kw: dict,
     *,
-    implicit_alpha: float | None = None,
     state: SubspaceState | None = None,
     inplace: bool = False,
     iteration: int = 0,
@@ -325,9 +324,9 @@ def subspace_iteration(
     """One training iteration as a sequence of subspace block updates.
 
     ``sweep_kw`` carries the trainer's solver/assembly knobs (plus
-    ``weighted=True`` for ALS-WR) verbatim into
-    :meth:`SweepExecutor.half_sweep`; ``implicit_alpha`` selects the
-    implicit trainer.  ``state`` carries the per-rating predictions (and
+    ``weighted=True`` for ALS-WR, or ``implicit_alpha`` for the implicit
+    trainer) verbatim into :meth:`SweepExecutor.half_sweep`.  ``state``
+    carries the per-rating predictions (and
     the implicit Gram caches) across iterations: pass one
     :class:`SubspaceState` per fit and feed each call the factors the
     previous one returned.  Without one, a fresh state is started from
@@ -342,12 +341,9 @@ def subspace_iteration(
         raise ValueError(
             f"block_schedule must be one of {BLOCK_SCHEDULES}, got {schedule!r}"
         )
-    implicit = implicit_alpha is not None
+    implicit = sweep_kw.get("implicit_alpha") is not None
     state = SubspaceState() if state is None else state
     grams = state.grams
-    call_kw = dict(sweep_kw)
-    if implicit:
-        call_kw["implicit_alpha"] = float(implicit_alpha)
     Xw = X if inplace else X.copy()
     Yw = Y if inplace else Y.copy()
     k = X.shape[1]
@@ -397,7 +393,7 @@ def subspace_iteration(
                 R, F_fixed, lam, X_prev=F_upd, out=F_upd,
                 col_block=(s, e), base_gram=base_gram,
                 complement=complement, gram_complement=gram_complement,
-                **call_kw,
+                **sweep_kw,
             )
             if strict and restore:
                 state.restore(executor, R_rows, Xw, Yw, s, e)

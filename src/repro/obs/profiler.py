@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from repro.clsim.device import DeviceSpec, device_by_name
 from repro.clsim.runtime import CommandQueue
-from repro.core.als import ALSConfig, ALSModel, train_als
-from repro.core.alswr import train_als_wr
-from repro.core.implicit import ImplicitConfig, ImplicitModel, train_implicit_als
+from repro.api import _ALGORITHMS, _CONFIGS
+from repro.core.als import ALSConfig, ALSModel
 from repro.datasets.catalog import DatasetSpec, dataset_by_name
 from repro.datasets.synthetic import generate_ratings
 from repro.obs import export, hotspot
@@ -38,8 +37,6 @@ __all__ = ["MAX_PROFILE_NNZ", "ProfileReport", "profile_training", "render_repor
 #: its scratch at the tile budget regardless of dataset size.)
 MAX_PROFILE_NNZ = 150_000
 
-_TRAINERS = {"als": train_als, "als-wr": train_als_wr, "implicit": train_implicit_als}
-
 
 @dataclass(frozen=True)
 class ProfileReport:
@@ -48,8 +45,8 @@ class ProfileReport:
     spec: DatasetSpec  # the (scaled) spec that was actually trained
     scale: float
     algorithm: str
-    config: ALSConfig | ImplicitConfig
-    model: ALSModel | ImplicitModel
+    config: ALSConfig
+    model: ALSModel
     records: tuple[SpanRecord, ...]
     metrics: dict
     device: DeviceSpec | None = None
@@ -82,12 +79,10 @@ class ProfileReport:
             "lam": self.config.lam,
             "iterations": self.config.iterations,
             "assembly": self.config.assembly or assembly_defaults()["mode"],
-            "solver": resolve_solver(
-                self.config.solver, getattr(self.config, "cholesky", True)
-            ),
+            "solver": resolve_solver(self.config.solver),
             "workers": resolve_workers(self.config.workers),
         }
-        if isinstance(self.config, ImplicitConfig):
+        if self.algorithm == "implicit":
             meta["alpha"] = self.config.alpha
         if self.device is not None:
             meta["device"] = self.device.name
@@ -115,24 +110,19 @@ def profile_training(
     *materialized* (scaled) matrix's degree sequences, so both time
     domains in the trace describe the same problem instance.
     """
-    if algorithm not in _TRAINERS:
-        known = ", ".join(sorted(_TRAINERS))
+    if algorithm not in _ALGORITHMS:
+        known = ", ".join(sorted(_ALGORITHMS))
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
     full = dataset_by_name(dataset) if isinstance(dataset, str) else dataset
     if scale is None:
         scale = min(1.0, MAX_PROFILE_NNZ / full.nnz)
     spec = full.scaled(scale)
     ratings = generate_ratings(spec, seed=seed)
-    if algorithm == "implicit":
-        config: ALSConfig | ImplicitConfig = ImplicitConfig(
-            k=k, lam=lam, iterations=iterations, seed=seed,
-            solver=solver, workers=workers, alpha=alpha,
-        )
-    else:
-        config = ALSConfig(
-            k=k, lam=lam, iterations=iterations, seed=seed,
-            solver=solver, workers=workers,
-        )
+    extra = {"alpha": alpha} if algorithm == "implicit" else {}
+    config = _CONFIGS[algorithm](
+        k=k, lam=lam, iterations=iterations, seed=seed,
+        solver=solver, workers=workers, **extra,
+    )
 
     obs_metrics.reset()
     with capture() as tracer:
@@ -143,7 +133,7 @@ def profile_training(
             with span(
                 "profile.run", cat="profile", dataset=spec.abbr, scale=scale
             ):
-                model = _TRAINERS[algorithm](ratings, config)
+                model = _ALGORITHMS[algorithm](ratings, config)
     records = tuple(tracer.records)
     snapshot = obs_metrics.snapshot()
 
@@ -190,10 +180,10 @@ def render_report(report: ProfileReport, top: int = 10) -> str:
     ]
     if report.model.history:
         last = report.model.history[-1]
-        if hasattr(last, "train_rmse"):
+        if last.train_rmse is not None:
             lines.append(f"final train RMSE: {last.train_rmse:.4f}")
-        else:  # implicit: history tracks the confidence-weighted loss
-            lines.append(f"final weighted loss: {float(last):.4f}")
+        else:  # implicit: the loss is the confidence-weighted one
+            lines.append(f"final weighted loss: {last.loss:.4f}")
     if report.sim_run is not None:
         lines.append(
             f"simulated on {report.device.name}: {report.sim_run.seconds:.3f} s "

@@ -97,8 +97,8 @@ class TestDriverContracts:
         assert not np.allclose(a.Y, b.Y)
 
     def test_cholesky_and_gaussian_agree(self, planted):
-        a = train_als(planted.ratings, ALSConfig(k=4, iterations=3, cholesky=True))
-        b = train_als(planted.ratings, ALSConfig(k=4, iterations=3, cholesky=False))
+        a = train_als(planted.ratings, ALSConfig(k=4, iterations=3, solver="lapack"))
+        b = train_als(planted.ratings, ALSConfig(k=4, iterations=3, solver="gaussian"))
         np.testing.assert_allclose(a.X, b.X, rtol=1e-7, atol=1e-9)
 
     def test_invalid_config_rejected(self):

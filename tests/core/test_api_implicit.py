@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import Recommender
+from repro.core.als import IterationStats
 from repro.core.implicit import ImplicitConfig, ImplicitModel
 from repro.sparse import COOMatrix
 
@@ -32,7 +33,9 @@ class TestImplicitAlgorithm:
         assert isinstance(fitted.model, ImplicitModel)
         assert isinstance(fitted.config, ImplicitConfig)
         assert fitted.config.alpha == 15.0
-        assert all(isinstance(h, float) for h in fitted.model.history)
+        assert all(isinstance(h, IterationStats) for h in fitted.model.history)
+        assert all(isinstance(h.loss, float) for h in fitted.model.history)
+        assert all(h.train_rmse is None for h in fitted.model.history)
 
     def test_predict_and_recommend_work(self, fitted, counts):
         scores = fitted.predict([0, 1], [2, 3])
@@ -101,3 +104,91 @@ class TestPersistenceHardening:
         np.savez(tmp_path / "bad.npz", X=X[:, :2], Y=Y, meta=meta)
         with pytest.raises(ValueError, match="shape"):
             Recommender.load(tmp_path / "bad.npz")
+
+
+#: Every config knob an older checkpoint wrote, in its field order.
+_OLD_IMPLICIT_CONFIG = {
+    "k": 3, "lam": 0.1, "alpha": 15.0, "iterations": 2, "tol": 0.0,
+    "track_loss": True, "seed": 0, "init_scale": 0.1, "assembly": None,
+    "tile_nnz": None, "assembly_dtype": None, "solver": None,
+    "workers": None, "factors": "ram", "factors_dir": None,
+    "block_size": None, "block_schedule": "paired",
+}
+_OLD_ALS_CONFIG = {
+    "k": 3, "lam": 0.1, "iterations": 2, "tol": 0.0, "seed": 0,
+    "cholesky": True, "init_scale": 0.1, "track_loss": True,
+    "assembly": None, "tile_nnz": None, "assembly_dtype": None,
+    "solver": None, "workers": None, "factors": "ram",
+    "factors_dir": None, "block_size": None, "block_schedule": "paired",
+}
+
+
+def _write_envelope(path, meta, rng):
+    """A checkpoint written by hand: ``.npz`` file or directory."""
+    X, Y = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    if str(path).endswith(".npz"):
+        np.savez_compressed(
+            path, X=X, Y=Y,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
+    else:
+        path.mkdir()
+        np.save(path / "X.npy", X)
+        np.save(path / "Y.npy", Y)
+        (path / "meta.json").write_text(json.dumps(meta))
+    return X, Y
+
+
+@pytest.mark.parametrize("name", ("old.npz", "old"))
+class TestOlderCheckpointsLoad:
+    """Envelopes in the formats earlier versions wrote still load."""
+
+    def test_implicit_float_history_with_stats(self, rng, tmp_path, name):
+        stats = [
+            {"iteration": 1, "loss": 9.5, "train_rmse": None,
+             "validation_rmse": None, "elapsed_seconds": 0.25},
+            {"iteration": 2, "loss": 7.0, "train_rmse": None,
+             "validation_rmse": None, "elapsed_seconds": 0.5},
+        ]
+        meta = {"algorithm": "implicit", "config": _OLD_IMPLICIT_CONFIG,
+                "history": [9.5, 7.0], "stats": stats}
+        X, _ = _write_envelope(tmp_path / name, meta, rng)
+        loaded = Recommender.load(tmp_path / name)
+        assert isinstance(loaded.model, ImplicitModel)
+        assert loaded.config == ImplicitConfig(**_OLD_IMPLICIT_CONFIG)
+        assert loaded.model.history == [IterationStats(**s) for s in stats]
+        np.testing.assert_array_equal(loaded.model.X, X)
+
+    def test_implicit_float_history_only(self, rng, tmp_path, name):
+        meta = {"algorithm": "implicit", "config": _OLD_IMPLICIT_CONFIG,
+                "history": [9.5, 7.0]}
+        _write_envelope(tmp_path / name, meta, rng)
+        loaded = Recommender.load(tmp_path / name)
+        assert loaded.model.history == [
+            IterationStats(iteration=1, loss=9.5, train_rmse=None),
+            IterationStats(iteration=2, loss=7.0, train_rmse=None),
+        ]
+
+    @pytest.mark.parametrize(
+        ("cholesky", "solver", "expect"),
+        ((False, None, "gaussian"), (True, None, None),
+         (False, "lapack", "lapack")),
+    )
+    def test_explicit_cholesky_flag(
+        self, rng, tmp_path, name, cholesky, solver, expect
+    ):
+        cfg = dict(_OLD_ALS_CONFIG, cholesky=cholesky, solver=solver)
+        meta = {"algorithm": "als", "config": cfg, "history": []}
+        _write_envelope(tmp_path / name, meta, rng)
+        loaded = Recommender.load(tmp_path / name)
+        assert loaded.config.solver == expect
+        assert not hasattr(loaded.config, "cholesky")
+
+
+@pytest.mark.parametrize("algorithm", ("als", "implicit"))
+def test_save_writes_one_history_format(counts, tmp_path, algorithm):
+    rec = Recommender(k=3, iterations=2, algorithm=algorithm).fit(counts)
+    rec.save(tmp_path / "model")
+    meta = json.loads((tmp_path / "model" / "meta.json").read_text())
+    assert "stats" not in meta
+    assert [IterationStats(**h) for h in meta["history"]] == rec.model.history

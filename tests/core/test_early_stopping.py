@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ALSConfig, train_als
+from repro.core import ALSConfig, train_als, train_als_wr
 from repro.datasets import planted_problem, train_test_split
 
 
@@ -16,21 +16,26 @@ def split():
 
 
 class TestEarlyStopping:
+    """Run for ``train_als``; :class:`TestEarlyStoppingALSWR` reruns every
+    case for ``train_als_wr``, which shares the driver's stopping rule."""
+
+    trainer = staticmethod(train_als)
+
     def test_stops_before_budget_on_loose_tol(self, split):
-        model = train_als(split.train, ALSConfig(k=3, iterations=50, tol=0.05))
+        model = self.trainer(split.train, ALSConfig(k=3, iterations=50, tol=0.05))
         assert len(model.history) < 50
 
     def test_tight_tol_uses_full_budget(self, split):
-        model = train_als(split.train, ALSConfig(k=3, iterations=4, tol=1e-12))
+        model = self.trainer(split.train, ALSConfig(k=3, iterations=4, tol=1e-12))
         assert len(model.history) == 4
 
     def test_zero_tol_disables(self, split):
-        model = train_als(split.train, ALSConfig(k=3, iterations=6, tol=0.0))
+        model = self.trainer(split.train, ALSConfig(k=3, iterations=6, tol=0.0))
         assert len(model.history) == 6
 
     def test_stopping_point_satisfies_criterion(self, split):
         tol = 0.02
-        model = train_als(split.train, ALSConfig(k=3, iterations=50, tol=tol))
+        model = self.trainer(split.train, ALSConfig(k=3, iterations=50, tol=tol))
         losses = model.losses()
         # Every consumed iteration but the last improved by ≥ tol.
         for prev, cur in zip(losses[:-2], losses[1:-1]):
@@ -42,6 +47,10 @@ class TestEarlyStopping:
             ALSConfig(tol=-0.1)
         with pytest.raises(ValueError, match="track_loss"):
             ALSConfig(tol=0.1, track_loss=False)
+
+
+class TestEarlyStoppingALSWR(TestEarlyStopping):
+    trainer = staticmethod(train_als_wr)
 
 
 class TestValidationTracking:

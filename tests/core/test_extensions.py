@@ -90,7 +90,7 @@ class TestImplicit:
             np.abs(problem.ratings.value) + 0.5,
         )
         model = train_implicit_als(counts, ImplicitConfig(k=3, iterations=5))
-        assert model.history[-1] < model.history[0]
+        assert model.history[-1].loss < model.history[0].loss
 
     def test_scores_rank_observed_above_unobserved(self, rng):
         """On data with learnable block structure, a user's in-block items

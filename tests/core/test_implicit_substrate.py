@@ -97,7 +97,7 @@ class TestEndToEndParity:
         out = train_implicit_als(counts, ImplicitConfig(assembly="binned", **kw))
         np.testing.assert_allclose(out.X, ref.X, atol=1e-10, rtol=0)
         np.testing.assert_allclose(out.Y, ref.Y, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(out.history, ref.history, rtol=1e-10)
+        np.testing.assert_allclose(out.losses(), ref.losses(), rtol=1e-10)
 
     def test_training_parallel_bitwise(self, rng):
         counts = self._counts(rng)
@@ -106,7 +106,7 @@ class TestEndToEndParity:
         par = train_implicit_als(counts, ImplicitConfig(workers=4, **kw))
         assert np.array_equal(par.X, serial.X)
         assert np.array_equal(par.Y, serial.Y)
-        assert par.history == serial.history
+        assert par.losses() == serial.losses()
 
     def test_model_shape_and_k(self, rng):
         counts = self._counts(rng)

@@ -122,7 +122,7 @@ class TestTrainerParity:
         ooc = train_implicit_als(store_pos, cfg)
         assert np.array_equal(ram.X, ooc.X)
         assert np.array_equal(ram.Y, ooc.Y)
-        for a, b in zip(ram.history, ooc.history):
+        for a, b in zip(ram.losses(), ooc.losses()):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
     def test_implicit_negative_values_rejected(self, data, tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.als import ALSConfig, ALSModel, IterationStats, train_als
 from repro.core.alswr import train_als_wr
-from repro.core.implicit import ImplicitConfig, ImplicitModel, train_implicit_als
+from repro.core.implicit import ImplicitConfig, train_implicit_als
 from repro.core.init import init_factors
 from repro.core.loss import entry_predictions
 from repro.core.subspace import (
@@ -129,12 +129,7 @@ class TestFullWidthReduction:
     def test_dk_loss_history_equal(self, ratings, algorithm):
         base = _train(algorithm, ratings)
         blocked = _train(algorithm, ratings, block_size=K)
-        get = (
-            (lambda m: [s.loss for s in m.history])
-            if algorithm == "als"
-            else (lambda m: list(m.history))
-        )
-        assert get(base) == get(blocked)
+        assert base.losses() == blocked.losses()
 
 
 class TestSubspaceConvergence:
@@ -145,14 +140,8 @@ class TestSubspaceConvergence:
         sub = _train(
             algorithm, ratings, iterations=2 * iterations, block_size=K // 4
         )
-        losses = (
-            [s.loss for s in sub.history]
-            if algorithm != "implicit"
-            else list(sub.history)
-        )
-        target = (
-            base.history[-1].loss if algorithm != "implicit" else base.history[-1]
-        )
+        losses = sub.losses()
+        target = base.history[-1].loss
         bar = target + abs(target) * 1e-6
         reached = [i for i, loss in enumerate(losses) if loss <= bar]
         assert reached, f"subspace never reached full-k loss {target}"
@@ -230,7 +219,11 @@ def _views(dense, store_dir):
     }
 
 
-_KW = {"als": {}, "als-wr": {"weighted": True}, "implicit": {}}
+_KW = {
+    "als": {},
+    "als-wr": {"weighted": True},
+    "implicit": {"implicit_alpha": 10.0},
+}
 
 
 @st.composite
@@ -272,7 +265,6 @@ class TestMaintainedPredictions:
                     X, Y = subspace_iteration(
                         ex, R_rows, R_cols, X, Y, 0.1, make_blocks(k, d),
                         schedule, _KW[algorithm], state=state,
-                        implicit_alpha=10.0 if algorithm == "implicit" else None,
                     )
             assert ex.visits == 3 * 2 * len(make_blocks(k, d))
             return X, Y
@@ -296,7 +288,6 @@ class TestMaintainedPredictions:
                 X, Y = subspace_iteration(
                     ex, R_rows, R_cols, X, Y, 0.1, make_blocks(K, 3),
                     schedule, _KW[algorithm], state=state,
-                    implicit_alpha=10.0 if algorithm == "implicit" else None,
                 )
         rows = R_rows.expanded_rows()
         fresh = entry_predictions(X, rows, Y, R_rows.col_idx)
@@ -351,10 +342,10 @@ class TestElapsedSeconds:
 
     def test_implicit_stats_monotone(self, ratings):
         model = _train("implicit", ratings, iterations=4)
-        assert isinstance(model.history[0], float)
-        elapsed = [s.elapsed_seconds for s in model.stats]
-        assert len(model.stats) == 4
-        assert all(s.train_rmse is None for s in model.stats)
+        elapsed = [s.elapsed_seconds for s in model.history]
+        assert len(model.history) == 4
+        assert all(isinstance(s.loss, float) for s in model.history)
+        assert all(s.train_rmse is None for s in model.history)
         assert all(e > 0 for e in elapsed)
         assert elapsed == sorted(elapsed)
 
@@ -371,12 +362,8 @@ class TestElapsedSeconds:
         ).fit(ratings)
         rec.save(tmp_path / "model")
         loaded = Recommender.load(tmp_path / "model")
-        if algorithm == "implicit":
-            saved = [s.elapsed_seconds for s in rec.model.stats]
-            back = [s.elapsed_seconds for s in loaded.model.stats]
-        else:
-            saved = [s.elapsed_seconds for s in rec.model.history]
-            back = [s.elapsed_seconds for s in loaded.model.history]
+        saved = [s.elapsed_seconds for s in rec.model.history]
+        back = [s.elapsed_seconds for s in loaded.model.history]
         assert back == saved
         assert saved == sorted(saved)
 
@@ -392,12 +379,12 @@ class TestImplicitLossControls:
     def test_track_loss_off_skips_history(self, ratings):
         model = _train("implicit", ratings, track_loss=False)
         assert model.history == []
-        assert model.stats == []
         assert np.all(np.isfinite(model.X))
 
-    def test_tol_early_stops(self, ratings):
-        lax = _train("implicit", ratings, iterations=30, tol=0.5)
+    @pytest.mark.parametrize("algorithm", ("als", "als-wr", "implicit"))
+    def test_tol_early_stops(self, ratings, algorithm):
+        lax = _train(algorithm, ratings, iterations=30, tol=0.5)
         assert len(lax.history) < 30
         # The tight-tol run keeps going at least as long.
-        tight = _train("implicit", ratings, iterations=30, tol=1e-12)
+        tight = _train(algorithm, ratings, iterations=30, tol=1e-12)
         assert len(tight.history) >= len(lax.history)
