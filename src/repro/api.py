@@ -212,7 +212,7 @@ class Recommender:
         return self._train_csr
 
     def fold_in_users(self, ratings: COOMatrix | CSRMatrix) -> np.ndarray:
-        """Append new users without retraining — one batched k×k solve.
+        """Append new users without retraining — one batched half-sweep solve.
 
         ``ratings`` rows index the *new* users (0..h-1) and columns the
         existing items.  Each new user's factors are exactly the k×k

@@ -5,20 +5,13 @@ work-group size on the target execution context and keep the fastest.
 ``selector`` implements the machine-learning approach the paper proposes
 as future work: learn the best configuration from (device, dataset)
 features so new contexts don't need an exhaustive sweep.
-``assembly`` applies the measure-then-pick loop to the *host* assembly
-variants (scatter vs degree-binned normal equations); ``serving``
-applies it to the query path (top-N tile size and scoring precision).
+``serving`` applies the measure-then-pick loop to the query path (top-N
+tile size and scoring precision).
 """
 
 from repro.autotune.search import SearchResult, exhaustive_search, WS_CANDIDATES
 from repro.autotune.features import context_features, FEATURE_NAMES
 from repro.autotune.selector import VariantSelector, train_default_selector
-from repro.autotune.assembly import (
-    AssemblyDecision,
-    measure_assembly,
-    select_assembly,
-    clear_decision_cache,
-)
 from repro.autotune.serving import (
     ServingDecision,
     measure_serving,
@@ -66,8 +59,4 @@ __all__ = [
     "FEATURE_NAMES",
     "VariantSelector",
     "train_default_selector",
-    "AssemblyDecision",
-    "measure_assembly",
-    "select_assembly",
-    "clear_decision_cache",
 ]

@@ -7,7 +7,6 @@ Usage::
     repro-als fig7 --metrics m.json  # + machine-readable metrics dump
     repro-als all                  # everything, in paper order
     repro-als tune gpu NTFX        # exhaustive variant search (§III-D)
-    repro-als tune-assembly ML1M   # measure scatter vs binned host assembly
     repro-als tune-blocks ML1M --k 64
                                    # measure iALS++ subspace block widths
     repro-als tune-serving ML1M    # measure serving tile size x dtype
@@ -59,7 +58,7 @@ Usage::
                                    # registry on an HTTP endpoint
 
 The host S1/S2 assembly variant is selectable everywhere via
-``--assembly {binned,scatter,auto}``, ``--tile-nnz N`` and
+``--assembly {binned,scatter}``, ``--tile-nnz N`` and
 ``--assembly-dtype {float32,float64}`` (or the ``REPRO_ASSEMBLY``,
 ``REPRO_TILE_NNZ``, ``REPRO_ASSEMBLY_DTYPE`` environment variables).
 The S3 solve and the half-sweep parallelism are selectable the same
@@ -120,34 +119,6 @@ def _run_tune(device_name: str, dataset_name: str, k: int) -> int:
         f"best: {result.best_variant.name} @ ws={result.best_ws} "
         f"({result.best_seconds:.3f} s, {result.speedup_over_worst():.2f}x over worst)"
     )
-    return 0
-
-
-def _run_tune_assembly(ns: argparse.Namespace) -> int:
-    if len(ns.args) != 1:
-        print("usage: repro-als tune-assembly <dataset> [--k K] [--scale S]",
-              file=sys.stderr)
-        return 2
-    from repro.autotune.assembly import measure_assembly
-    from repro.sparse.csr import CSRMatrix
-
-    try:
-        spec = dataset_by_name(ns.args[0])
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    scale = ns.scale if ns.scale is not None else min(1.0, 500_000 / spec.nnz)
-    spec = spec.scaled(scale)
-    from repro.datasets.synthetic import generate_ratings as _gen
-
-    R = CSRMatrix.from_coo(_gen(spec, seed=ns.seed))
-    decision = measure_assembly(R, k=ns.k)
-    print(f"assembly variants on {spec.abbr} (scale={scale:g}, k={ns.k}), "
-          f"measured on a {decision.sample_rows}-row / "
-          f"{decision.sample_nnz}-nnz sample:")
-    print(f"  binned  {decision.binned_seconds * 1e3:9.2f} ms")
-    print(f"  scatter {decision.scatter_seconds * 1e3:9.2f} ms")
-    print(f"best: {decision.mode} ({decision.speedup:.2f}x over the other)")
     return 0
 
 
@@ -667,13 +638,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "command",
         help="experiment id (table1, fig1, fig6..fig10, ksweep), 'all', 'list', "
-        "'summary', 'tune', 'tune-assembly', 'tune-serving', "
+        "'summary', 'tune', 'tune-serving', "
         "'tune-sharding', 'tune-blocks', 'train', 'recommend', 'emit-cl', "
         "'profile', 'perf-gate', 'grid', 'serve-metrics' or 'serve'",
     )
     parser.add_argument(
         "args", nargs="*",
-        help="for tune: <device> <dataset>; for profile/tune-assembly/"
+        help="for tune: <device> <dataset>; for profile/"
         "tune-serving/recommend: <dataset>; for train/"
         "tune-sharding: <dataset> or a shard-store directory; for "
         "perf-gate: benchmark record JSON files; for grid: "
@@ -713,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
         "--top", type=int, default=10, help="profile: top-N spans to print (default 10)"
     )
     parser.add_argument(
-        "--assembly", default=None, choices=("binned", "scatter", "auto"),
+        "--assembly", default=None, choices=("binned", "scatter"),
         help="S1/S2 assembly code variant (default: binned)",
     )
     parser.add_argument(
@@ -931,8 +902,6 @@ def _dispatch(ns: argparse.Namespace) -> int:
             print("usage: repro-als tune <device> <dataset>", file=sys.stderr)
             return 2
         return _run_tune(ns.args[0], ns.args[1], ns.k)
-    if ns.command == "tune-assembly":
-        return _run_tune_assembly(ns)
     if ns.command == "tune-serving":
         return _run_tune_serving(ns)
     if ns.command == "tune-sharding":

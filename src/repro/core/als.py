@@ -69,7 +69,7 @@ class ALSConfig:
     track_loss: bool = True  # compute the loss (Eq. 2) after every iteration
     # S1/S2 assembly code variant (§III-D analogue); None defers to the
     # configured/environment defaults of repro.linalg.normal_equations.
-    assembly: str | None = None  # "binned" | "scatter" | "auto"
+    assembly: str | None = None  # "binned" | "scatter"
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
     # S3 solver code variant; None defers to configure_solver /

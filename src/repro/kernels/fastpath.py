@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.normal_equations import batched_normal_equations
+from repro.linalg.normal_equations import (
+    SolveGroup,
+    batched_normal_equations,
+    binned_solve_groups,
+    resolve_assembly,
+    scatter_normal_equations,
+)
 from repro.linalg.solvers import resolve_solver, solver_fn
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
@@ -52,6 +58,13 @@ def sweep_occupied(
 
     ``weighted=True`` applies ALS-WR's per-row ridge ``λ·|Ω_u|·I``
     instead of the uniform ``λ I``.
+
+    With the binned assembly, an explicit row whose degree bin is
+    narrower than the system width ``d`` solves the exact dual system
+    ``(Y_Ω Y_Ωᵀ + ρI) α = r`` and returns ``x = Y_Ωᵀ α``
+    (:func:`~repro.linalg.normal_equations.binned_solve_groups`); the
+    dual systems solve in a few width groups, each one S3 span with
+    ``form="dual"``.  Scatter assembly keeps every row primal.
 
     ``implicit_alpha`` switches to the implicit-feedback (Hu–Koren)
     update: the assembly computes the confidence-weighted correction
@@ -142,24 +155,23 @@ def sweep_occupied(
                 b -= gram_complement[rows]
         elif blocked:
             raise ValueError("a strict col_block implicit update requires base_gram")
+        # The dense YᵀY base term has no short form: implicit rows stay k×k.
+        groups = [SolveGroup("primal", np.arange(rows.size), A, b)]
     else:
         rv = sub.value.astype(np.float64) - complement if blocked else None
-        A, b = batched_normal_equations(
-            sub,
-            Yb,
-            lam=0.0 if weighted else lam,
-            mode=assembly,
-            tile_nnz=tile_nnz,
-            compute_dtype=compute_dtype,
-            rhs_nnz_value=rv,
-        )
-        if weighted:
-            # ALS-WR's ridge scales with the *full-row* degree, which a
-            # block update leaves unchanged — the same λ·|Ω_u| lands on
-            # each d×d diagonal.
-            counts = sub.row_lengths().astype(np.float64)
+        # ALS-WR's ridge scales with the *full-row* degree, which a block
+        # update leaves unchanged — the same λ·|Ω_u| lands on each system.
+        ridge = lam * sub.row_lengths().astype(np.float64) if weighted else lam
+        if resolve_assembly(assembly) == "binned":
+            groups = binned_solve_groups(
+                sub, Yb, ridge, tile_nnz=tile_nnz,
+                compute_dtype=compute_dtype, rhs_nnz_value=rv,
+            )
+        else:
+            A, b = scatter_normal_equations(sub, Yb, 0.0, rhs_nnz_value=rv)
             idx = np.arange(d)
-            A[:, idx, idx] += (lam * counts)[:, None]
+            A[:, idx, idx] += np.reshape(ridge, (-1, 1))
+            groups = [SolveGroup("primal", np.arange(rows.size), A, b)]
     if is_enabled():
         obs_metrics.inc("als.sweep.rows", rows.size)
         obs_metrics.inc("sparse.nnz_touched", R.nnz)
@@ -167,10 +179,16 @@ def sweep_occupied(
             obs_metrics.inc("subspace.block_updates")
             obs_metrics.set_gauge("subspace.block_size", d)
     solver_name = resolve_solver(solver, cholesky)
+    solve = solver_fn(solver_name)
     s3_name = "als.implicit.s3" if implicit else "als.s3.solve"
-    with span(s3_name, stage="S3", solver=solver_name, k=d, batch=rows.size):
-        obs_metrics.inc(f"solver.{solver_name}.calls")
-        X_rows = solver_fn(solver_name)(A, b)
+    X_rows = np.empty((rows.size, d), dtype=np.float64)
+    for g in groups:
+        with span(s3_name, stage="S3", solver=solver_name, k=g.width,
+                  batch=g.rows.size, form=g.form):
+            obs_metrics.inc(f"solver.{solver_name}.calls")
+            if g.form == "dual":
+                obs_metrics.inc("als.sweep.dual_rows", g.rows.size)
+            X_rows[g.rows] = g.factors(solve(g.A, g.b))
     return rows, X_rows
 
 

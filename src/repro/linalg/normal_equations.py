@@ -31,9 +31,14 @@ variants:
 
 ``batched_normal_equations`` dispatches between them (explicit argument >
 :func:`configure_assembly` > ``REPRO_ASSEMBLY``-style env vars >
-built-ins); ``mode="auto"`` defers to the empirical selector in
-:mod:`repro.autotune.assembly`, the same measure-then-pick loop the paper
-uses to choose code variants.
+built-ins).  Binned beats scatter at every measured shape, so no runtime
+measurement picks between them: scatter is the test oracle and the §V-C
+comparator.
+
+The explicit sweep does not assemble every row's k×k system:
+:func:`binned_solve_groups` gives a row whose degree bin is narrower than
+``k`` the exact n×n *dual* form ``Y_Ωᵀ (Y_Ω Y_Ωᵀ + ρI)⁻¹ r`` of the same
+solution, built from the same binned gather.
 
 Both variants additionally accept a per-non-zero **weight vector**
 (``nnz_weight``) turning the Gram sum into ``Σ w_e · y_e y_eᵀ`` and an
@@ -51,22 +56,28 @@ same S1/S2/S3 decomposition; the binned S1 span carries
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.linalg.solvers import _TRSM_BLOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, DegreeBin
 
 __all__ = [
     "assemble_gram",
     "assemble_rhs",
     "batched_normal_equations",
     "binned_normal_equations",
+    "binned_solve_groups",
+    "dual_width",
+    "SolveGroup",
     "scatter_normal_equations",
     "complement_predictions",
     "GramCache",
     "configure_assembly",
+    "resolve_assembly",
     "assembly_defaults",
     "tile_bytes_bound",
     "DEFAULT_TILE_NNZ",
@@ -83,7 +94,7 @@ DEFAULT_TILE_NNZ = 1 << 19
 #: number of bins (geometric in the max degree).
 DEFAULT_BIN_GROWTH = 1.25
 
-ASSEMBLY_MODES = ("binned", "scatter", "auto")
+ASSEMBLY_MODES = ("binned", "scatter")
 
 _ENV_MODE = "REPRO_ASSEMBLY"
 _ENV_TILE = "REPRO_TILE_NNZ"
@@ -167,7 +178,8 @@ def configure_assembly(
     )
 
 
-def _resolve_mode(mode: str | None) -> str:
+def resolve_assembly(mode: str | None = None) -> str:
+    """The effective assembly variant: argument > configured > env > binned."""
     if mode is not None:
         return _validate_mode(mode)
     if _CONFIGURED["mode"] is not None:
@@ -206,7 +218,7 @@ def _resolve_dtype(compute_dtype: object | None) -> np.dtype:
 def assembly_defaults() -> dict[str, object]:
     """The currently resolved (mode, tile_nnz, compute_dtype) defaults."""
     return {
-        "mode": _resolve_mode(None),
+        "mode": resolve_assembly(),
         "tile_nnz": _resolve_tile(None),
         "compute_dtype": _resolve_dtype(None).name,
     }
@@ -370,19 +382,14 @@ def binned_normal_equations(
     weights, so the weighted kernel obeys the identical tile budget.
     """
     tile = _resolve_tile(tile_nnz)
-    cdtype = _resolve_dtype(compute_dtype)
     growth = DEFAULT_BIN_GROWTH if growth is None else float(growth)
-    Yc = _as_float(Y, cdtype)
-    _check_shapes(R, Yc)
+    Yc, cdtype = _compute_operand(R, Y, compute_dtype)
     m = R.nrows
     k = Yc.shape[1]
     w_all = _check_nnz_vector(nnz_weight, R.nnz, "nnz_weight")
-    rv = _check_nnz_vector(rhs_nnz_value, R.nnz, "rhs_nnz_value")
+    rvals = _rhs_values(R, rhs_nnz_value)
     wc = None if w_all is None else w_all.astype(cdtype)
     s1_name, _ = _span_names(w_all is not None)
-    enabled = is_enabled()
-    peak_tile_bytes = 0
-    tiles = 0
     with span(
         s1_name, stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
     ) as s1:
@@ -393,94 +400,289 @@ def binned_normal_equations(
         s1.set(bins=len(bins))
         A = np.zeros((m, k, k), dtype=np.float64)
         b = np.zeros((m, k), dtype=np.float64)
-        rvals = R.value.astype(np.float64) if rv is None else rv
-        for b_ in bins:
-            width = b_.width
-            rows_per_tile = max(1, tile // max(width, k))
-            seg = min(width, tile)  # long-tail rows reduce in segments
-            # No stage= attr here: the enclosing als.s1.gram span owns the
-            # S1 attribution; bin spans only decompose it.
-            with span(
-                "als.s1.bin",
-                width=width,
-                rows=int(b_.rows.size),
-                nnz=b_.nnz,
-            ):
-                for r0 in range(0, b_.rows.size, rows_per_tile):
-                    r1 = min(r0 + rows_per_tile, b_.rows.size)
-                    rows_t = b_.rows[r0:r1]
-                    starts_t = b_.starts[r0:r1]
-                    len_t = b_.lengths[r0:r1]
-                    acc = None
-                    bacc = None
-                    for w0 in range(0, width, seg):
-                        w1 = min(w0 + seg, width)
-                        offs = np.arange(w0, w1, dtype=np.int64)
-                        idx = starts_t[:, None] + offs[None, :]
-                        tile_bytes = idx.nbytes
-                        # Rows shorter than this segment's end need their
-                        # padding masked out of the gather (degrees are
-                        # ascending, so the first row is the shortest).
-                        if w1 > int(len_t[0]):
-                            valid = offs[None, :] < len_t[:, None]
-                            idx = np.where(valid, idx, starts_t[:, None])
-                            vmask = valid.astype(cdtype)
-                            tile_bytes += valid.nbytes + vmask.nbytes
-                        else:
-                            vmask = None
-                        cols = R.col_idx[idx]
-                        G = Yc[cols]
-                        # Fused S2: the RHS reduces the same gathered block
-                        # (float64 arithmetic even on a float32 G).
-                        rt = rvals[idx]
-                        if vmask is not None:
-                            rt *= valid
-                        part = np.einsum("rw,rwk->rk", rt, G)
-                        tile_bytes += rt.nbytes + part.nbytes
-                        if wc is None:
-                            if vmask is not None:
-                                G *= vmask[:, :, None]
-                            contrib = G.transpose(0, 2, 1) @ G
-                            tile_bytes += cols.nbytes + G.nbytes + contrib.nbytes
-                        else:
-                            # Gᵀ diag(w) G: scale one operand by the tile's
-                            # weights; padding lanes zero out through the
-                            # mask folded into the weights, so the second
-                            # operand can stay unmasked.
-                            wt = wc[idx]
-                            if vmask is not None:
-                                wt = wt * vmask
-                            Gw = G * wt[:, :, None]
-                            contrib = Gw.transpose(0, 2, 1) @ G
-                            tile_bytes += (
-                                cols.nbytes + G.nbytes + Gw.nbytes
-                                + wt.nbytes + contrib.nbytes
-                            )
-                        if acc is None:
-                            # Cross-segment accumulation (width > seg, so
-                            # one row per tile) happens in float64 even in
-                            # float32 compute mode; single-segment tiles
-                            # upcast once on assignment into A below.
-                            acc = contrib if width <= seg else contrib.astype(np.float64)
-                            bacc = part
-                        else:
-                            acc += contrib
-                            bacc += part
-                        tiles += 1
-                        if tile_bytes > peak_tile_bytes:
-                            peak_tile_bytes = tile_bytes
-                    A[rows_t] = acc
-                    b[rows_t] = bacc
+        stats = _gram_tiles(
+            R, Yc, bins, [b_.rows for b_ in bins], A, b, rvals, wc, tile
+        )
         d = _diag(k)
         A[:, d, d] += lam
-    if enabled:
-        obs_metrics.set_gauge("assembly.bins", len(bins))
-        obs_metrics.set_gauge("assembly.peak_tile_bytes", peak_tile_bytes)
-        if w_all is not None:
-            obs_metrics.set_gauge("assembly.implicit.peak_tile_bytes", peak_tile_bytes)
-        obs_metrics.inc("assembly.tiles", tiles)
-        obs_metrics.inc("assembly.binned.calls")
+    _record_tiles(len(bins), *stats, weighted=w_all is not None)
     return A, b
+
+
+def _compute_operand(
+    R: CSRMatrix, Y: np.ndarray, compute_dtype: object | None
+) -> tuple[np.ndarray, np.dtype]:
+    """``Y`` in the resolved compute dtype, shape-checked against ``R``."""
+    cdtype = _resolve_dtype(compute_dtype)
+    Yc = _as_float(Y, cdtype)
+    _check_shapes(R, Yc)
+    return Yc, cdtype
+
+
+def _rhs_values(R: CSRMatrix, rhs_nnz_value: np.ndarray | None) -> np.ndarray:
+    """Float64 RHS coefficients: the stored values unless overridden."""
+    rv = _check_nnz_vector(rhs_nnz_value, R.nnz, "rhs_nnz_value")
+    return R.value.astype(np.float64) if rv is None else rv
+
+
+def _record_tiles(
+    bins: int, peak_tile_bytes: int, tiles: int, weighted: bool = False
+) -> None:
+    if not is_enabled():
+        return
+    obs_metrics.set_gauge("assembly.bins", bins)
+    obs_metrics.set_gauge("assembly.peak_tile_bytes", peak_tile_bytes)
+    if weighted:
+        obs_metrics.set_gauge("assembly.implicit.peak_tile_bytes", peak_tile_bytes)
+    obs_metrics.inc("assembly.tiles", tiles)
+    obs_metrics.inc("assembly.binned.calls")
+
+
+def _gram_tiles(
+    R: CSRMatrix,
+    Yc: np.ndarray,
+    bins: list[DegreeBin],
+    outs: list[np.ndarray],
+    A: np.ndarray,
+    b: np.ndarray,
+    rvals: np.ndarray,
+    wc: np.ndarray | None,
+    tile: int,
+) -> tuple[int, int]:
+    """Reduce each bin's rows tile by tile into ``A[outs[i]]``/``b[outs[i]]``.
+
+    ``outs[i]`` names the output slot of every row of ``bins[i]`` (the
+    row index itself for a whole-matrix assembly).  Returns the peak
+    per-tile scratch in bytes and the number of tiles.
+    """
+    k = Yc.shape[1]
+    cdtype = Yc.dtype
+    peak_tile_bytes = 0
+    tiles = 0
+    for b_, out in zip(bins, outs):
+        width = b_.width
+        rows_per_tile = max(1, tile // max(width, k))
+        seg = min(width, tile)  # long-tail rows reduce in segments
+        # No stage= attr here: the enclosing als.s1.gram span owns the
+        # S1 attribution; bin spans only decompose it.
+        with span(
+            "als.s1.bin",
+            width=width,
+            rows=int(b_.rows.size),
+            nnz=b_.nnz,
+        ):
+            for r0 in range(0, b_.rows.size, rows_per_tile):
+                r1 = min(r0 + rows_per_tile, b_.rows.size)
+                starts_t = b_.starts[r0:r1]
+                len_t = b_.lengths[r0:r1]
+                acc = None
+                bacc = None
+                for w0 in range(0, width, seg):
+                    w1 = min(w0 + seg, width)
+                    offs = np.arange(w0, w1, dtype=np.int64)
+                    idx = starts_t[:, None] + offs[None, :]
+                    tile_bytes = idx.nbytes
+                    # Rows shorter than this segment's end need their
+                    # padding masked out of the gather (degrees are
+                    # ascending, so the first row is the shortest).
+                    if w1 > int(len_t[0]):
+                        valid = offs[None, :] < len_t[:, None]
+                        idx = np.where(valid, idx, starts_t[:, None])
+                        vmask = valid.astype(cdtype)
+                        tile_bytes += valid.nbytes + vmask.nbytes
+                    else:
+                        vmask = None
+                    cols = R.col_idx[idx]
+                    G = Yc[cols]
+                    # Fused S2: the RHS reduces the same gathered block
+                    # (float64 arithmetic even on a float32 G).
+                    rt = rvals[idx]
+                    if vmask is not None:
+                        rt *= valid
+                    part = np.einsum("rw,rwk->rk", rt, G)
+                    tile_bytes += rt.nbytes + part.nbytes
+                    if wc is None:
+                        if vmask is not None:
+                            G *= vmask[:, :, None]
+                        contrib = G.transpose(0, 2, 1) @ G
+                        tile_bytes += cols.nbytes + G.nbytes + contrib.nbytes
+                    else:
+                        # Gᵀ diag(w) G: scale one operand by the tile's
+                        # weights; padding lanes zero out through the
+                        # mask folded into the weights, so the second
+                        # operand can stay unmasked.
+                        wt = wc[idx]
+                        if vmask is not None:
+                            wt = wt * vmask
+                        Gw = G * wt[:, :, None]
+                        contrib = Gw.transpose(0, 2, 1) @ G
+                        tile_bytes += (
+                            cols.nbytes + G.nbytes + Gw.nbytes
+                            + wt.nbytes + contrib.nbytes
+                        )
+                    if acc is None:
+                        # Cross-segment accumulation (width > seg, so
+                        # one row per tile) happens in float64 even in
+                        # float32 compute mode; single-segment tiles
+                        # upcast once on assignment into A below.
+                        acc = contrib if width <= seg else contrib.astype(np.float64)
+                        bacc = part
+                    else:
+                        acc += contrib
+                        bacc += part
+                    tiles += 1
+                    if tile_bytes > peak_tile_bytes:
+                        peak_tile_bytes = tile_bytes
+                A[out[r0:r1]] = acc
+                b[out[r0:r1]] = bacc
+    return peak_tile_bytes, tiles
+
+
+@dataclass
+class SolveGroup:
+    """One batch of same-width SPD systems whose solutions are row factors.
+
+    ``form="primal"``: ``A`` is the rows' ``(Y_ΩᵀY_Ω + ρI)`` stack, ``b``
+    their ``Y_Ωᵀ r``, and the solution *is* the factor.  ``form="dual"``:
+    ``A`` is ``(Y_Ω Y_Ωᵀ + ρI)`` padded to ``width`` lanes, ``b`` the
+    ratings themselves, and :meth:`factors` maps the solution ``α`` back
+    through ``x = Y_Ωᵀ α`` (the push-through identity, exact).  A padded
+    lane holds ``ρ`` on its diagonal and zeros elsewhere, with a zero
+    RHS, so its ``α`` is exactly 0 and adds nothing to ``x``.
+    """
+
+    form: str
+    rows: np.ndarray  # (n,) row indices into R
+    A: np.ndarray  # (n, width, width) float64
+    b: np.ndarray  # (n, width) float64
+    parts: tuple = ()  # dual: (slice into rows, gather G) per bin
+
+    @property
+    def width(self) -> int:
+        return int(self.A.shape[1])
+
+    def factors(self, solution: np.ndarray) -> np.ndarray:
+        """The ``(n, k)`` row factors for a solution of ``A · s = b``."""
+        if self.form == "primal":
+            return solution
+        k = self.parts[0][1].shape[2]
+        X = np.empty((self.rows.size, k), dtype=np.float64)
+        for sl, G in self.parts:
+            X[sl] = np.einsum("rw,rwk->rk", solution[sl, : G.shape[1]], G)
+        return X
+
+
+def dual_width(width: int, k: int) -> int:
+    """The solve width of a dual system over ``width`` ratings, or 0.
+
+    A bin narrower than ``k`` takes the dual form; its systems pad to the
+    next multiple of the batched substitution's panel (capped at ``k``),
+    so all short rows solve in at most ``ceil(k / 16)`` batched calls.
+    """
+    if width >= k:
+        return 0
+    return min(-(-width // _TRSM_BLOCK) * _TRSM_BLOCK, k)
+
+
+def binned_solve_groups(
+    R: CSRMatrix,
+    Y: np.ndarray,
+    ridge: float | np.ndarray,
+    *,
+    tile_nnz: int | None = None,
+    compute_dtype: object | None = None,
+    rhs_nnz_value: np.ndarray | None = None,
+) -> list[SolveGroup]:
+    """The explicit ALS systems of every occupied row, each in its smaller form.
+
+    For a row with ``n`` ratings ``(Y_ΩᵀY_Ω + ρI)⁻¹ Y_Ωᵀ r =
+    Y_Ωᵀ (Y_Ω Y_Ωᵀ + ρI)⁻¹ r``: the left side is a k×k system, the right
+    an n×n one with the same nonzero spectrum.  Bins at least ``k`` wide
+    are assembled by the primal binned kernel into one group; narrower
+    bins assemble ``G Gᵀ`` from their gather ``G``, which is kept for the
+    back-projection, in groups by :func:`dual_width`.  The choice
+    depends only on a row's degree bin (a fixed grid) and ``k``, so any
+    row split of ``R`` puts every row in the same form and solves it
+    identically.
+
+    ``ridge`` is ``ρ``: a scalar, or one value per row of ``R`` (ALS-WR's
+    ``λ·|Ω_u|``).  ``rhs_nnz_value`` replaces the stored values as ``r``
+    (a subspace block's residual targets).  One S1 span covers every
+    group's assembly.
+    """
+    tile = _resolve_tile(tile_nnz)
+    Yc, _ = _compute_operand(R, Y, compute_dtype)
+    k = Yc.shape[1]
+    rvals = _rhs_values(R, rhs_nnz_value)
+    groups: list[SolveGroup] = []
+    Yz = None
+    with span(
+        "als.s1.gram", stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
+    ) as s1:
+        bins = R.degree_bins(DEFAULT_BIN_GROWTH)
+        s1.set(bins=len(bins))
+        by_width: dict[int, list[DegreeBin]] = {}
+        for b_ in bins:
+            by_width.setdefault(dual_width(b_.width, k), []).append(b_)
+        for width, group in sorted(by_width.items()):
+            rows = np.concatenate([b_.rows for b_ in group])
+            size = width or k
+            A = np.zeros((rows.size, size, size), dtype=np.float64)
+            b = np.zeros((rows.size, size), dtype=np.float64)
+            edges = np.cumsum([0] + [b_.rows.size for b_ in group])
+            spans = list(zip(edges[:-1], edges[1:]))
+            if width:
+                if Yz is None:
+                    # Padded lanes gather this zero row: G needs no mask.
+                    Yz = np.concatenate([Yc, np.zeros((1, k), dtype=Yc.dtype)])
+                parts = tuple(
+                    (slice(lo, hi), _dual_block(R, Yz, b_, rvals, A[lo:hi], b[lo:hi]))
+                    for b_, (lo, hi) in zip(group, spans)
+                )
+            else:
+                outs = [np.arange(lo, hi) for lo, hi in spans]
+                _record_tiles(len(bins), *_gram_tiles(
+                    R, Yc, group, outs, A, b, rvals, None, tile
+                ))
+                parts = ()
+            diag = _diag(size)
+            A[:, diag, diag] += np.broadcast_to(ridge, (R.nrows,))[rows, None]
+            groups.append(
+                SolveGroup("dual" if width else "primal", rows, A, b, parts)
+            )
+    return groups
+
+
+def _dual_block(
+    R: CSRMatrix,
+    Yz: np.ndarray,
+    b_: DegreeBin,
+    rvals: np.ndarray,
+    K: np.ndarray,
+    r: np.ndarray,
+) -> np.ndarray:
+    """Write one bin's ``G Gᵀ`` and ratings into ``K``/``r``; return ``G``.
+
+    ``Yz`` is the compute-dtype basis with one zero row appended, which
+    every padded lane gathers.  ``G`` is the bin's whole ``(rows, width,
+    k)`` gather — fewer than ``k`` lanes per row, so no segmenting — kept
+    for ``x = Gᵀα``.
+    """
+    width = b_.width
+    offs = np.arange(width, dtype=np.int64)
+    idx = b_.starts[:, None] + offs[None, :]
+    # Lanes past a row's end are clipped into range, then re-pointed.
+    idx = np.minimum(idx, R.nnz - 1)
+    cols = R.col_idx[idx]
+    rt = rvals[idx]
+    if width > int(b_.lengths[0]):
+        pad = offs[None, :] >= b_.lengths[:, None]
+        cols[pad] = Yz.shape[0] - 1
+        rt[pad] = 0.0
+    G = Yz[cols]
+    K[:, :width, :width] = G @ G.transpose(0, 2, 1)
+    r[:, :width] = rt
+    return G
 
 
 def batched_normal_equations(
@@ -501,21 +703,13 @@ def batched_normal_equations(
     stay regular; the ALS driver leaves such rows at zero, matching
     Algorithm 2's ``omegaSize > 0`` guard.
 
-    ``mode`` picks the code variant (``binned``/``scatter``/``auto``);
-    unset knobs fall back to :func:`configure_assembly`, then the
+    ``mode`` picks the code variant (``binned``/``scatter``); unset
+    knobs fall back to :func:`configure_assembly`, then the
     ``REPRO_ASSEMBLY``/``REPRO_TILE_NNZ``/``REPRO_ASSEMBLY_DTYPE``
     environment, then the built-in defaults.  ``nnz_weight`` /
-    ``rhs_nnz_value`` select the confidence-weighted (implicit) kernel;
-    the ``auto`` selector measures the weighted variants in that case.
+    ``rhs_nnz_value`` select the confidence-weighted (implicit) kernel.
     """
-    resolved = _resolve_mode(mode)
-    if resolved == "auto":
-        from repro.autotune.assembly import select_assembly
-
-        resolved = select_assembly(
-            R, int(np.asarray(Y).shape[-1]), weighted=nnz_weight is not None
-        )
-    if resolved == "scatter":
+    if resolve_assembly(mode) == "scatter":
         return scatter_normal_equations(
             R, Y, lam, nnz_weight=nnz_weight, rhs_nnz_value=rhs_nnz_value
         )

@@ -55,7 +55,10 @@ def solve_bytes_per_row(k: int) -> int:
     ratings at Netflix density), so the out-of-core planner must budget
     them per shard row or the "byte budget" would be a fiction.  Only
     the sweep layer knows k, hence the hook lives here, not in
-    :meth:`ShardedCSR.shards`.
+    :meth:`ShardedCSR.shards`.  An explicit row with n < k ratings
+    solves its dual n×n system instead and holds that (padded to at
+    most k) plus its ``(n, k)`` gather: less than this at typical short
+    degrees, up to about twice it just below n = k.
     """
     return 8 * (k * k + 2 * k)
 

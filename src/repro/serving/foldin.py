@@ -5,13 +5,14 @@ is exactly one ridge system
 
     x = (Y_Ωᵀ Y_Ω + λI)⁻¹ Y_Ωᵀ r
 
-— the same k×k normal equations every ALS half-sweep solves per row.
+— the same ridge system every ALS half-sweep solves per row.
 Fold-in therefore reuses the whole training substrate unchanged: the
 new rows' equations are assembled through the binned/tiled S1/S2
-kernels (:func:`repro.kernels.fastpath.sweep_occupied`) and solved as
-one batched S3 call through the solver registry.  Nothing is
-approximated, and nothing existing is touched: the basis factors stay
-fixed and only the new rows are computed.
+kernels (:func:`repro.kernels.fastpath.sweep_occupied`) and solved in
+batched S3 calls through the solver registry — an explicit row with
+fewer ratings than k in its exact n×n dual form, exactly as training
+solves it.  Nothing is approximated, and nothing existing is touched:
+the basis factors stay fixed and only the new rows are computed.
 
 Because degree bins come from a fixed geometric grid (a row's padded
 width is a function of its own degree, never of which rows share the

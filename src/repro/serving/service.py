@@ -447,8 +447,8 @@ class RecommendService:
     def update_ratings(self, updates) -> np.ndarray:
         """Fold new/changed ratings of existing users into the model.
 
-        Re-solves only the affected users' rows (one batched k×k solve)
-        and merges the entries into the exclusion matrix.  The
+        Re-solves only the affected users' rows (batched, as a
+        half-sweep solves them) and merges the entries into the exclusion matrix.  The
         generation advances — affected users' cached entries (and any
         result computed concurrently from the pre-update snapshot)
         become unreachable.  Returns the affected user ids.

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autotune.assembly import clear_decision_cache
 from repro.core import ImplicitConfig, train_implicit_als
 from repro.core.implicit import implicit_half_sweep
 from repro.linalg import configure_assembly, tile_bytes_bound
@@ -59,14 +58,6 @@ class TestHalfSweepParity:
             R, Y, 0.1, 10.0, assembly="binned", tile_nnz=16
         )
         np.testing.assert_allclose(tiled, full, atol=1e-10, rtol=0)
-
-    def test_auto_assembly_matches_binned(self, rng):
-        clear_decision_cache()
-        R = _skewed_counts(rng)
-        Y = rng.standard_normal((R.ncols, 4))
-        auto = implicit_half_sweep(R, Y, 0.1, 5.0, assembly="auto")
-        ref = implicit_half_sweep(R, Y, 0.1, 5.0, assembly="scatter")
-        np.testing.assert_allclose(auto, ref, atol=1e-10, rtol=0)
 
     def test_parallel_bitwise_equals_serial(self, rng):
         R = _skewed_counts(rng, m=64)

@@ -238,12 +238,14 @@ class TestDispatchAndConfig:
         np.testing.assert_allclose(A_b, A_s, atol=1e-12)
         np.testing.assert_allclose(b_b, b_s, atol=1e-12)
 
-    def test_auto_mode_runs_and_matches(self, small_ratings, rng):
+    def test_auto_mode_rejected(self, small_ratings, rng, monkeypatch):
+        # No runtime measurement picks the assembly: "auto" is not a mode.
         Y = rng.standard_normal((small_ratings.ncols, 4))
-        A_a, b_a = batched_normal_equations(small_ratings, Y, 0.1, mode="auto")
-        A_b, b_b = batched_normal_equations(small_ratings, Y, 0.1, mode="binned")
-        np.testing.assert_allclose(A_a, A_b, atol=1e-12)
-        np.testing.assert_allclose(b_a, b_b, atol=1e-12)
+        with pytest.raises(ValueError):
+            batched_normal_equations(small_ratings, Y, 0.1, mode="auto")
+        monkeypatch.setenv("REPRO_ASSEMBLY", "auto")
+        with pytest.raises(ValueError):
+            batched_normal_equations(small_ratings, Y, 0.1)
 
     def test_unknown_mode_rejected(self, small_ratings, rng):
         with pytest.raises(ValueError):

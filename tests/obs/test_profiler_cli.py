@@ -57,7 +57,11 @@ class TestProfileTraining:
         payload = json.loads(path.read_text())
         assert payload["meta"]["dataset"] == "YMR4"
         assert payload["meta"]["device"] == "NVIDIA Tesla K20c"
-        assert payload["metrics"]["counters"]["solver.lapack.calls"] == 4
+        # One solver call per S3 solve group: at least one per half-sweep
+        # (2 iterations x 2), plus a dual group per short-row width.
+        s3_spans = sum(1 for r in report.records if r.attrs.get("stage") == "S3")
+        assert s3_spans >= 4
+        assert payload["metrics"]["counters"]["solver.lapack.calls"] == s3_spans
 
     def test_auto_scale_and_unknown_names(self):
         with pytest.raises(KeyError):
