@@ -57,23 +57,14 @@ Usage::
                                    # any command can expose its live
                                    # registry on an HTTP endpoint
 
-The host S1/S2 assembly variant is selectable everywhere via
-``--assembly {binned,scatter}``, ``--tile-nnz N`` and
-``--assembly-dtype {float32,float64}`` (or the ``REPRO_ASSEMBLY``,
-``REPRO_TILE_NNZ``, ``REPRO_ASSEMBLY_DTYPE`` environment variables).
-The S3 solve and the half-sweep parallelism are selectable the same
-way: ``--solver {cholesky,gaussian,lapack}`` (``REPRO_SOLVER``; default
-``lapack``)
-and ``--workers {auto,N}`` (``REPRO_WORKERS``).  Training can descend
-on column subspaces instead of full k-wide rows:
+The knob flags ``--assembly``, ``--tile-nnz``, ``--assembly-dtype``,
+``--solver``, ``--workers``, ``--tile-bytes``, ``--serve-dtype`` and
+``--shard-bytes`` configure the knobs of :mod:`repro.knobs` (each also
+has a ``REPRO_*`` environment variable); a bad value exits 2.  Training
+can descend on column subspaces instead of full k-wide rows:
 ``--block-size {d,auto}`` picks the iALS++ block width (``auto`` =
 measure via :mod:`repro.autotune.blocks`) and ``--block-schedule
-{paired,sweep}`` its visit order.  The serving engine's
-tile budget and score precision follow the same pattern:
-``--tile-bytes {B,auto}`` (``REPRO_SERVE_TILE_BYTES``) and
-``--serve-dtype {float32,float64,auto}`` (``REPRO_SERVE_DTYPE``), as
-does the out-of-core shard budget: ``--shard-bytes B``
-(``REPRO_SHARD_BYTES``).
+{paired,sweep}`` its visit order.
 """
 
 from __future__ import annotations
@@ -88,6 +79,7 @@ from repro.datasets.catalog import dataset_by_name
 from repro.datasets.synthetic import degree_sequences
 from repro.kernels.opencl_source import generate_program
 from repro.kernels.variants import recommended_variant
+from repro.knobs import table as knob_table
 from repro.linalg.solvers import SOLVER_MODES
 
 __all__ = ["main"]
@@ -688,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
         help="S1/S2 assembly code variant (default: binned)",
     )
     parser.add_argument(
-        "--tile-nnz", type=int, default=None, metavar="N",
+        "--tile-nnz", default=None, metavar="N",
         help="assembly tile budget: max non-zeros gathered per tile",
     )
     parser.add_argument(
@@ -725,7 +717,7 @@ def main(argv: list[str] | None = None) -> int:
         help="recommend: how many users to print (default 5)",
     )
     parser.add_argument(
-        "--tile-bytes", default=None, metavar="B",
+        "--tile-bytes", dest="serve_tile_bytes", default=None, metavar="B",
         help="serving tile budget: bytes of score buffer per user block "
         "('auto' = measure; default 8 MB)",
     )
@@ -734,7 +726,7 @@ def main(argv: list[str] | None = None) -> int:
         help="serving score precision (default: float64; 'auto' = measure)",
     )
     parser.add_argument(
-        "--shard-bytes", type=int, default=None, metavar="B",
+        "--shard-bytes", default=None, metavar="B",
         help="out-of-core shard byte budget per resident CSR shard "
         "(default 256 MB; REPRO_SHARD_BYTES)",
     )
@@ -824,40 +816,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     ns = parser.parse_args(argv)
 
-    if ns.assembly or ns.tile_nnz or ns.assembly_dtype:
-        from repro.linalg.normal_equations import configure_assembly
-
-        configure_assembly(
-            mode=ns.assembly, tile_nnz=ns.tile_nnz, compute_dtype=ns.assembly_dtype
-        )
-    if ns.solver:
-        from repro.linalg.solvers import configure_solver
-
-        configure_solver(ns.solver)
-    if ns.tile_bytes or ns.serve_dtype:
-        from repro.serving import configure_serving
-
-        try:
-            configure_serving(tile_bytes=ns.tile_bytes, dtype=ns.serve_dtype)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if ns.workers:
-        from repro.parallel import configure_workers
-
-        try:
-            configure_workers(ns.workers)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if ns.shard_bytes is not None:
-        from repro.sparse.shards import configure_sharding
-
-        try:
-            configure_sharding(ns.shard_bytes)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    # Each knob flag's dest is its knob's name.
+    for knob in knob_table():
+        value = getattr(ns, knob.name, None)
+        if value is not None:
+            try:
+                knob.configure(value)
+            except ValueError as exc:
+                print(str(exc), file=sys.stderr)
+                return 2
 
     if ns.command == "serve-metrics":
         return _run_serve_metrics(ns)

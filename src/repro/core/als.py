@@ -28,9 +28,9 @@ from repro.core.subspace import (
     subspace_iteration,
     validate_block_size,
 )
-from repro.linalg.normal_equations import ASSEMBLY_MODES
-from repro.linalg.solvers import SOLVER_MODES
-from repro.parallel.executor import SweepExecutor, _parse_workers
+from repro.linalg.normal_equations import ASSEMBLY, ASSEMBLY_DTYPE, TILE_NNZ
+from repro.linalg.solvers import SOLVER
+from repro.parallel.executor import WORKERS, SweepExecutor
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import span
 from repro.sparse.coo import COOMatrix
@@ -67,16 +67,15 @@ class ALSConfig:
     seed: int = 0
     init_scale: float = 0.1
     track_loss: bool = True  # compute the loss (Eq. 2) after every iteration
-    # S1/S2 assembly code variant (§III-D analogue); None defers to the
-    # configured/environment defaults of repro.linalg.normal_equations.
+    # Code-variant knobs (§III-D analogue): each field is the explicit
+    # argument of the knob of the same name; None defers to the knob's
+    # configured, env or default value (repro.knobs).
     assembly: str | None = None  # "binned" | "scatter"
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
-    # S3 solver code variant; None defers to configure_solver /
-    # REPRO_SOLVER, then the batched LAPACK default.
-    solver: str | None = None  # "lapack" | "cholesky" | "gaussian"
+    solver: str | None = None  # S3: "lapack" | "cholesky" | "gaussian"
     # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
-    # threads; None defers to configure_workers / REPRO_WORKERS (serial).
+    # threads (default serial).
     workers: int | str | None = None
     # Factor-matrix backing: "ram" (heap arrays, the default) or "memmap"
     # (.npy-backed maps with per-shard spill — the out-of-core trainers'
@@ -103,26 +102,15 @@ class ALSConfig:
             raise ValueError("tol must be non-negative")
         if self.tol > 0 and not self.track_loss:
             raise ValueError("tol-based stopping requires track_loss")
-        if self.assembly is not None and self.assembly not in ASSEMBLY_MODES:
-            raise ValueError(
-                f"assembly must be one of {ASSEMBLY_MODES}, got {self.assembly!r}"
-            )
-        if self.tile_nnz is not None and self.tile_nnz < 1:
-            raise ValueError("tile_nnz must be >= 1")
-        if self.assembly_dtype is not None and self.assembly_dtype not in (
-            "float32",
-            "float64",
+        for knob, value in (
+            (ASSEMBLY, self.assembly),
+            (TILE_NNZ, self.tile_nnz),
+            (ASSEMBLY_DTYPE, self.assembly_dtype),
+            (SOLVER, self.solver),
+            (WORKERS, self.workers),
         ):
-            raise ValueError(
-                f"assembly_dtype must be 'float32' or 'float64', "
-                f"got {self.assembly_dtype!r}"
-            )
-        if self.solver is not None and self.solver not in SOLVER_MODES:
-            raise ValueError(
-                f"solver must be one of {SOLVER_MODES}, got {self.solver!r}"
-            )
-        if self.workers is not None:
-            _parse_workers(self.workers)  # raises on bad specs
+            if value is not None:
+                knob.check(value)
         if self.factors not in FACTOR_MODES:
             raise ValueError(
                 f"factors must be one of {FACTOR_MODES}, got {self.factors!r}"

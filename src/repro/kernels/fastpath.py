@@ -39,7 +39,6 @@ def sweep_occupied(
     lam: float,
     weighted: bool = False,
     solver: str | None = None,
-    cholesky: bool = True,
     assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
@@ -178,7 +177,7 @@ def sweep_occupied(
         if blocked:
             obs_metrics.inc("subspace.block_updates")
             obs_metrics.set_gauge("subspace.block_size", d)
-    solver_name = resolve_solver(solver, cholesky)
+    solver_name = resolve_solver(solver)
     solve = solver_fn(solver_name)
     s3_name = "als.implicit.s3" if implicit else "als.s3.solve"
     X_rows = np.empty((rows.size, d), dtype=np.float64)
@@ -197,7 +196,6 @@ def fast_half_sweep(
     Y: np.ndarray,
     lam: float,
     X_prev: np.ndarray | None = None,
-    cholesky: bool = True,
     solver: str | None = None,
     assembly: str | None = None,
     tile_nnz: int | None = None,
@@ -210,10 +208,9 @@ def fast_half_sweep(
     (``X_prev``), or zero when no previous factors are given.
 
     ``solver`` selects the S3 variant (``lapack``/``cholesky``/
-    ``gaussian``); the legacy ``cholesky`` boolean is honored when
-    ``solver`` is unset.  ``assembly``/``tile_nnz``/``compute_dtype``
-    select the S1/S2 code variant (see :func:`batched_normal_equations`);
-    ``None`` defers to the configured/environment defaults.
+    ``gaussian``) and ``assembly``/``tile_nnz``/``compute_dtype`` the
+    S1/S2 code variant (see :func:`batched_normal_equations`); ``None``
+    defers to the knob (:mod:`repro.knobs`).
 
     A :class:`~repro.sparse.shards.ShardedCSR` ``R`` runs the blocked
     out-of-core sweep (one resident row-range shard at a time) through a
@@ -228,7 +225,7 @@ def fast_half_sweep(
 
         with SweepExecutor(1) as ex:
             return ex.half_sweep(
-                R, Y, lam, X_prev=X_prev, solver=solver, cholesky=cholesky,
+                R, Y, lam, X_prev=X_prev, solver=solver,
                 assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
             )
     m = R.nrows
@@ -239,7 +236,7 @@ def fast_half_sweep(
             raise ValueError(f"X_prev must have shape {(m, k)}")
         X[:] = X_prev
     rows, X_rows = sweep_occupied(
-        R, Y, lam, solver=solver, cholesky=cholesky,
+        R, Y, lam, solver=solver,
         assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     X[rows] = X_rows
@@ -252,7 +249,6 @@ def fast_iteration(
     X: np.ndarray,
     Y: np.ndarray,
     lam: float,
-    cholesky: bool = True,
     solver: str | None = None,
     assembly: str | None = None,
     tile_nnz: int | None = None,
@@ -264,11 +260,11 @@ def fast_iteration(
     view the paper uses for the Y update (§III-A).
     """
     X_new = fast_half_sweep(
-        R_rows, Y, lam, X_prev=X, cholesky=cholesky, solver=solver,
+        R_rows, Y, lam, X_prev=X, solver=solver,
         assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     Y_new = fast_half_sweep(
-        R_cols, X_new, lam, X_prev=Y, cholesky=cholesky, solver=solver,
+        R_cols, X_new, lam, X_prev=Y, solver=solver,
         assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     return X_new, Y_new

@@ -29,11 +29,11 @@ variants:
   the paper's single-precision kernels (§IV); the RHS reduction and
   the accumulation into the returned ``A``/``b`` stay float64.
 
-``batched_normal_equations`` dispatches between them (explicit argument >
-:func:`configure_assembly` > ``REPRO_ASSEMBLY``-style env vars >
-built-ins).  Binned beats scatter at every measured shape, so no runtime
-measurement picks between them: scatter is the test oracle and the §V-C
-comparator.
+``batched_normal_equations`` dispatches between them through the
+``assembly``, ``tile_nnz`` and ``assembly_dtype`` knobs (resolved by
+:mod:`repro.knobs`).  Binned beats scatter at every measured shape, so
+no runtime measurement picks between them: scatter is the test oracle
+and the §V-C comparator.
 
 The explicit sweep does not assemble every row's k×k system:
 :func:`binned_solve_groups` gives a row whose degree bin is narrower than
@@ -55,11 +55,11 @@ same S1/S2/S3 decomposition; the binned S1 span carries
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.knobs import Knob, at_least
 from repro.linalg.solvers import _TRSM_BLOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
@@ -96,19 +96,7 @@ DEFAULT_BIN_GROWTH = 1.25
 
 ASSEMBLY_MODES = ("binned", "scatter")
 
-_ENV_MODE = "REPRO_ASSEMBLY"
-_ENV_TILE = "REPRO_TILE_NNZ"
-_ENV_DTYPE = "REPRO_ASSEMBLY_DTYPE"
-
-_COMPUTE_DTYPES = {"float32": np.float32, "float64": np.float64}
-
-# Process-wide defaults installed by configure_assembly (CLI flags land
-# here).  ``None`` falls through to the environment, then the built-ins.
-_CONFIGURED: dict[str, object | None] = {
-    "mode": None,
-    "tile_nnz": None,
-    "compute_dtype": None,
-}
+_COMPUTE_DTYPES = ("float32", "float64")
 
 # Cached per-k diagonal index — hoists the per-call ``lam * np.eye(k)``
 # allocation: the ridge becomes an in-place diagonal add.
@@ -138,26 +126,25 @@ def _validate_mode(mode: str) -> str:
     return mode
 
 
-def _validate_tile(tile_nnz: int) -> int:
-    tile_nnz = int(tile_nnz)
-    if tile_nnz < 1:
-        raise ValueError("tile_nnz must be >= 1")
-    return tile_nnz
+def _validate_dtype(compute_dtype: object) -> str:
+    """A compute precision (its name, or a float dtype) as its name."""
+    name = compute_dtype
+    if not isinstance(name, str):
+        name = np.dtype(compute_dtype).name
+    if name not in _COMPUTE_DTYPES:
+        raise ValueError(
+            f"compute dtype must be one of {_COMPUTE_DTYPES}, got {compute_dtype!r}"
+        )
+    return name
 
 
-def _validate_dtype(compute_dtype: object) -> np.dtype:
-    if isinstance(compute_dtype, str):
-        try:
-            return np.dtype(_COMPUTE_DTYPES[compute_dtype])
-        except KeyError:
-            raise ValueError(
-                f"compute dtype must be one of {tuple(_COMPUTE_DTYPES)}, "
-                f"got {compute_dtype!r}"
-            ) from None
-    dt = np.dtype(compute_dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"compute dtype must be float32 or float64, got {dt}")
-    return dt
+ASSEMBLY = Knob("assembly", "REPRO_ASSEMBLY", "binned", _validate_mode)
+TILE_NNZ = Knob("tile_nnz", "REPRO_TILE_NNZ", DEFAULT_TILE_NNZ, at_least())
+ASSEMBLY_DTYPE = Knob(
+    "assembly_dtype", "REPRO_ASSEMBLY_DTYPE", "float64", _validate_dtype
+)
+
+resolve_assembly = ASSEMBLY.resolve
 
 
 def configure_assembly(
@@ -165,62 +152,18 @@ def configure_assembly(
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
 ) -> None:
-    """Install process-wide assembly defaults (the CLI flags land here).
-
-    Every call sets all three knobs; ``None`` resets a knob to "fall back
-    to the environment / built-in default", so ``configure_assembly()``
-    restores the out-of-the-box behavior.
-    """
-    _CONFIGURED["mode"] = None if mode is None else _validate_mode(mode)
-    _CONFIGURED["tile_nnz"] = None if tile_nnz is None else _validate_tile(tile_nnz)
-    _CONFIGURED["compute_dtype"] = (
-        None if compute_dtype is None else _validate_dtype(compute_dtype)
-    )
-
-
-def resolve_assembly(mode: str | None = None) -> str:
-    """The effective assembly variant: argument > configured > env > binned."""
-    if mode is not None:
-        return _validate_mode(mode)
-    if _CONFIGURED["mode"] is not None:
-        return _CONFIGURED["mode"]  # type: ignore[return-value]
-    env = os.environ.get(_ENV_MODE)
-    if env:
-        return _validate_mode(env)
-    return "binned"
-
-
-def _resolve_tile(tile_nnz: int | None) -> int:
-    if tile_nnz is not None:
-        return _validate_tile(tile_nnz)
-    if _CONFIGURED["tile_nnz"] is not None:
-        return _CONFIGURED["tile_nnz"]  # type: ignore[return-value]
-    env = os.environ.get(_ENV_TILE)
-    if env:
-        try:
-            return _validate_tile(int(env))
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_TILE}={env!r}: {exc}") from None
-    return DEFAULT_TILE_NNZ
-
-
-def _resolve_dtype(compute_dtype: object | None) -> np.dtype:
-    if compute_dtype is not None:
-        return _validate_dtype(compute_dtype)
-    if _CONFIGURED["compute_dtype"] is not None:
-        return _CONFIGURED["compute_dtype"]  # type: ignore[return-value]
-    env = os.environ.get(_ENV_DTYPE)
-    if env:
-        return _validate_dtype(env)
-    return np.dtype(np.float64)
+    """Configure all three assembly knobs; ``None`` resets a knob."""
+    ASSEMBLY.configure(mode)
+    TILE_NNZ.configure(tile_nnz)
+    ASSEMBLY_DTYPE.configure(compute_dtype)
 
 
 def assembly_defaults() -> dict[str, object]:
     """The currently resolved (mode, tile_nnz, compute_dtype) defaults."""
     return {
-        "mode": resolve_assembly(),
-        "tile_nnz": _resolve_tile(None),
-        "compute_dtype": _resolve_dtype(None).name,
+        "mode": ASSEMBLY.resolve(),
+        "tile_nnz": TILE_NNZ.resolve(),
+        "compute_dtype": ASSEMBLY_DTYPE.resolve(),
     }
 
 
@@ -236,7 +179,7 @@ def tile_bytes_bound(
     ``tile_nnz / max(k, width)`` rows, so the dominant terms are the
     ``(rows, width, k)`` gather and the ``(rows, k, k)`` GEMM output,
     both bounded by ``tile_nnz · k`` elements; index/mask arrays add
-    ``tile_nnz`` int64/int64/bool/compute entries, and the fused RHS
+    ``tile_nnz`` int64/int64/bool entries, and the fused RHS
     ``tile_nnz`` float64 coefficients plus a ``(rows, k)`` float64
     block.  The weighted (implicit) kernel adds one more
     ``tile_nnz · k`` operand (the weight-scaled gather) and the gathered
@@ -244,17 +187,17 @@ def tile_bytes_bound(
     assert the measured ``assembly.peak_tile_bytes`` gauge against this
     formula.
     """
-    tile_nnz = _validate_tile(tile_nnz)
-    cs = _validate_dtype(compute_dtype).itemsize
+    tile_nnz = TILE_NNZ.check(tile_nnz)
+    cs = np.dtype(ASSEMBLY_DTYPE.check(compute_dtype)).itemsize
     gather = tile_nnz * k * cs  # G
     gemm_out = tile_nnz * k * cs  # (rows, k, k) with rows <= tile_nnz / k
     indices = tile_nnz * 16  # position + column gather, int64 each
-    mask = tile_nnz * (1 + cs)  # bool validity + its compute-dtype cast
+    mask = tile_nnz  # bool padding mask
     rhs = tile_nnz * 16  # float64 RHS coefficients + (rows, k) RHS block
     bound = gather + gemm_out + indices + mask + rhs
     if weighted:
         bound += tile_nnz * k * cs  # Gw, the weight-scaled gather
-        bound += 2 * tile_nnz * cs  # gathered weights + their masked copy
+        bound += tile_nnz * cs  # gathered weights
     return bound
 
 
@@ -378,14 +321,13 @@ def binned_normal_equations(
     accumulate in float64 either way.
 
     ``nnz_weight`` turns the Gram sum into ``Σ w_e · y_e y_eᵀ`` by
-    scaling one GEMM operand per tile — the padding mask folds into the
-    weights, so the weighted kernel obeys the identical tile budget.
+    scaling one GEMM operand per tile, within the same tile budget.
     """
-    tile = _resolve_tile(tile_nnz)
+    tile = TILE_NNZ.resolve(tile_nnz)
     growth = DEFAULT_BIN_GROWTH if growth is None else float(growth)
-    Yc, cdtype = _compute_operand(R, Y, compute_dtype)
+    Yz, cdtype = _compute_operand(R, Y, compute_dtype)
     m = R.nrows
-    k = Yc.shape[1]
+    k = Yz.shape[1]
     w_all = _check_nnz_vector(nnz_weight, R.nnz, "nnz_weight")
     rvals = _rhs_values(R, rhs_nnz_value)
     wc = None if w_all is None else w_all.astype(cdtype)
@@ -401,7 +343,7 @@ def binned_normal_equations(
         A = np.zeros((m, k, k), dtype=np.float64)
         b = np.zeros((m, k), dtype=np.float64)
         stats = _gram_tiles(
-            R, Yc, bins, [b_.rows for b_ in bins], A, b, rvals, wc, tile
+            R, Yz, bins, [b_.rows for b_ in bins], A, b, rvals, wc, tile
         )
         d = _diag(k)
         A[:, d, d] += lam
@@ -412,11 +354,52 @@ def binned_normal_equations(
 def _compute_operand(
     R: CSRMatrix, Y: np.ndarray, compute_dtype: object | None
 ) -> tuple[np.ndarray, np.dtype]:
-    """``Y`` in the resolved compute dtype, shape-checked against ``R``."""
-    cdtype = _resolve_dtype(compute_dtype)
-    Yc = _as_float(Y, cdtype)
-    _check_shapes(R, Yc)
-    return Yc, cdtype
+    """``Y`` in the resolved compute dtype, with one zero row appended.
+
+    Padded gather lanes read that row (:func:`_gather`), so no padded
+    block needs a mask pass.
+    """
+    cdtype = np.dtype(ASSEMBLY_DTYPE.resolve(compute_dtype))
+    Y = np.asarray(Y)
+    _check_shapes(R, Y)
+    Yz = np.empty((Y.shape[0] + 1, Y.shape[1]), dtype=cdtype)
+    Yz[:-1] = Y
+    Yz[-1] = 0
+    return Yz, cdtype
+
+
+def _gather(
+    R: CSRMatrix,
+    Yz: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    offs: np.ndarray,
+    rvals: np.ndarray,
+    wc: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """Gather lanes ``offs`` of the rows at ``starts`` (``lengths`` long).
+
+    Returns ``(G, rt, wt, nbytes)``: the ``(rows, lanes, k)`` block of
+    ``Yz``, the lanes' RHS coefficients and (with ``wc``) weights, and
+    the scratch bytes held.  A lane past its row's end reads ``Yz``'s
+    zero row with a zero coefficient and weight, so it adds nothing to
+    ``GᵀG``, ``G Gᵀ`` or ``Gᵀr``.  Degrees ascend within a bin, so the
+    first row tells whether any lane pads.
+    """
+    idx = np.minimum(starts[:, None] + offs[None, :], R.nnz - 1)
+    cols = R.col_idx[idx]
+    rt = rvals[idx]
+    wt = None if wc is None else wc[idx]
+    nbytes = idx.nbytes + cols.nbytes
+    if offs[-1] >= lengths[0]:
+        pad = offs[None, :] >= lengths[:, None]
+        cols[pad] = Yz.shape[0] - 1
+        rt[pad] = 0.0
+        if wt is not None:
+            wt[pad] = 0.0
+        nbytes += pad.nbytes
+    G = Yz[cols]
+    return G, rt, wt, nbytes + G.nbytes
 
 
 def _rhs_values(R: CSRMatrix, rhs_nnz_value: np.ndarray | None) -> np.ndarray:
@@ -440,7 +423,7 @@ def _record_tiles(
 
 def _gram_tiles(
     R: CSRMatrix,
-    Yc: np.ndarray,
+    Yz: np.ndarray,
     bins: list[DegreeBin],
     outs: list[np.ndarray],
     A: np.ndarray,
@@ -452,11 +435,11 @@ def _gram_tiles(
     """Reduce each bin's rows tile by tile into ``A[outs[i]]``/``b[outs[i]]``.
 
     ``outs[i]`` names the output slot of every row of ``bins[i]`` (the
-    row index itself for a whole-matrix assembly).  Returns the peak
+    row index itself for a whole-matrix assembly).  ``Yz`` is the
+    basis with its zero row (:func:`_compute_operand`).  Returns the peak
     per-tile scratch in bytes and the number of tiles.
     """
-    k = Yc.shape[1]
-    cdtype = Yc.dtype
+    k = Yz.shape[1]
     peak_tile_bytes = 0
     tiles = 0
     for b_, out in zip(bins, outs):
@@ -478,48 +461,22 @@ def _gram_tiles(
                 acc = None
                 bacc = None
                 for w0 in range(0, width, seg):
-                    w1 = min(w0 + seg, width)
-                    offs = np.arange(w0, w1, dtype=np.int64)
-                    idx = starts_t[:, None] + offs[None, :]
-                    tile_bytes = idx.nbytes
-                    # Rows shorter than this segment's end need their
-                    # padding masked out of the gather (degrees are
-                    # ascending, so the first row is the shortest).
-                    if w1 > int(len_t[0]):
-                        valid = offs[None, :] < len_t[:, None]
-                        idx = np.where(valid, idx, starts_t[:, None])
-                        vmask = valid.astype(cdtype)
-                        tile_bytes += valid.nbytes + vmask.nbytes
-                    else:
-                        vmask = None
-                    cols = R.col_idx[idx]
-                    G = Yc[cols]
+                    offs = np.arange(w0, min(w0 + seg, width), dtype=np.int64)
+                    G, rt, wt, tile_bytes = _gather(
+                        R, Yz, starts_t, len_t, offs, rvals, wc
+                    )
                     # Fused S2: the RHS reduces the same gathered block
                     # (float64 arithmetic even on a float32 G).
-                    rt = rvals[idx]
-                    if vmask is not None:
-                        rt *= valid
                     part = np.einsum("rw,rwk->rk", rt, G)
                     tile_bytes += rt.nbytes + part.nbytes
-                    if wc is None:
-                        if vmask is not None:
-                            G *= vmask[:, :, None]
+                    if wt is None:
                         contrib = G.transpose(0, 2, 1) @ G
-                        tile_bytes += cols.nbytes + G.nbytes + contrib.nbytes
                     else:
-                        # Gᵀ diag(w) G: scale one operand by the tile's
-                        # weights; padding lanes zero out through the
-                        # mask folded into the weights, so the second
-                        # operand can stay unmasked.
-                        wt = wc[idx]
-                        if vmask is not None:
-                            wt = wt * vmask
+                        # Gᵀ diag(w) G: scale one operand by the weights.
                         Gw = G * wt[:, :, None]
                         contrib = Gw.transpose(0, 2, 1) @ G
-                        tile_bytes += (
-                            cols.nbytes + G.nbytes + Gw.nbytes
-                            + wt.nbytes + contrib.nbytes
-                        )
+                        tile_bytes += Gw.nbytes + wt.nbytes
+                    tile_bytes += contrib.nbytes
                     if acc is None:
                         # Cross-segment accumulation (width > seg, so
                         # one row per tile) happens in float64 even in
@@ -610,12 +567,11 @@ def binned_solve_groups(
     (a subspace block's residual targets).  One S1 span covers every
     group's assembly.
     """
-    tile = _resolve_tile(tile_nnz)
-    Yc, _ = _compute_operand(R, Y, compute_dtype)
-    k = Yc.shape[1]
+    tile = TILE_NNZ.resolve(tile_nnz)
+    Yz, _ = _compute_operand(R, Y, compute_dtype)
+    k = Yz.shape[1]
     rvals = _rhs_values(R, rhs_nnz_value)
     groups: list[SolveGroup] = []
-    Yz = None
     with span(
         "als.s1.gram", stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
     ) as s1:
@@ -632,9 +588,6 @@ def binned_solve_groups(
             edges = np.cumsum([0] + [b_.rows.size for b_ in group])
             spans = list(zip(edges[:-1], edges[1:]))
             if width:
-                if Yz is None:
-                    # Padded lanes gather this zero row: G needs no mask.
-                    Yz = np.concatenate([Yc, np.zeros((1, k), dtype=Yc.dtype)])
                 parts = tuple(
                     (slice(lo, hi), _dual_block(R, Yz, b_, rvals, A[lo:hi], b[lo:hi]))
                     for b_, (lo, hi) in zip(group, spans)
@@ -642,7 +595,7 @@ def binned_solve_groups(
             else:
                 outs = [np.arange(lo, hi) for lo, hi in spans]
                 _record_tiles(len(bins), *_gram_tiles(
-                    R, Yc, group, outs, A, b, rvals, None, tile
+                    R, Yz, group, outs, A, b, rvals, None, tile
                 ))
                 parts = ()
             diag = _diag(size)
@@ -663,23 +616,12 @@ def _dual_block(
 ) -> np.ndarray:
     """Write one bin's ``G Gᵀ`` and ratings into ``K``/``r``; return ``G``.
 
-    ``Yz`` is the compute-dtype basis with one zero row appended, which
-    every padded lane gathers.  ``G`` is the bin's whole ``(rows, width,
-    k)`` gather — fewer than ``k`` lanes per row, so no segmenting — kept
-    for ``x = Gᵀα``.
+    ``G`` is the bin's whole ``(rows, width, k)`` gather — fewer than
+    ``k`` lanes per row, so no segmenting — kept for ``x = Gᵀα``.
     """
     width = b_.width
     offs = np.arange(width, dtype=np.int64)
-    idx = b_.starts[:, None] + offs[None, :]
-    # Lanes past a row's end are clipped into range, then re-pointed.
-    idx = np.minimum(idx, R.nnz - 1)
-    cols = R.col_idx[idx]
-    rt = rvals[idx]
-    if width > int(b_.lengths[0]):
-        pad = offs[None, :] >= b_.lengths[:, None]
-        cols[pad] = Yz.shape[0] - 1
-        rt[pad] = 0.0
-    G = Yz[cols]
+    G, rt, _, _ = _gather(R, Yz, b_.starts, b_.lengths, offs, rvals)
     K[:, :width, :width] = G @ G.transpose(0, 2, 1)
     r[:, :width] = rt
     return G
@@ -703,10 +645,9 @@ def batched_normal_equations(
     stay regular; the ALS driver leaves such rows at zero, matching
     Algorithm 2's ``omegaSize > 0`` guard.
 
-    ``mode`` picks the code variant (``binned``/``scatter``); unset
-    knobs fall back to :func:`configure_assembly`, then the
-    ``REPRO_ASSEMBLY``/``REPRO_TILE_NNZ``/``REPRO_ASSEMBLY_DTYPE``
-    environment, then the built-in defaults.  ``nnz_weight`` /
+    ``mode`` picks the code variant (``binned``/``scatter``); an unset
+    ``mode``/``tile_nnz``/``compute_dtype`` takes its knob's value
+    (:mod:`repro.knobs`).  ``nnz_weight`` /
     ``rhs_nnz_value`` select the confidence-weighted (implicit) kernel.
     """
     if resolve_assembly(mode) == "scatter":
@@ -759,7 +700,7 @@ def complement_predictions(
         return out
     Xc = _as_float(X_rows, np.float64)
     Yc = _as_float(Y, np.float64)
-    tile = _resolve_tile(tile_nnz)
+    tile = TILE_NNZ.resolve(tile_nnz)
     chunk = max(1, tile // width)
     rows_e = R.expanded_rows()
     cols_e = R.col_idx

@@ -22,15 +22,11 @@ latter.  This module is where those code variants live on the host side:
 * ``gaussian`` — from-scratch LU with partial pivoting, the §V-C
   comparison point (~2× the flops of Cholesky on SPD systems).
 
-``resolve_solver`` implements the usual precedence: explicit argument >
-:func:`configure_solver` (CLI) > ``REPRO_SOLVER`` environment > the
-legacy ``cholesky`` boolean of the sweep API (``lapack`` when true,
-``gaussian`` when false).
+The ``solver`` knob (:mod:`repro.knobs`) names the variant a sweep uses.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
@@ -40,6 +36,7 @@ from repro.linalg.cholesky import (
     as_float64_stack,
     batched_cholesky_solve,
 )
+from repro.knobs import Knob
 from repro.linalg.gaussian import batched_gaussian_solve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled
@@ -53,40 +50,6 @@ __all__ = [
     "resolve_solver",
     "solver_fn",
 ]
-
-_ENV_SOLVER = "REPRO_SOLVER"
-
-# Process-wide default installed by configure_solver (the CLI flag lands
-# here); ``None`` falls through to the environment, then the legacy bool.
-_CONFIGURED: dict[str, str | None] = {"solver": None}
-
-
-def _validate_solver(name: str) -> str:
-    if name not in SOLVER_MODES:
-        raise ValueError(f"solver must be one of {SOLVER_MODES}, got {name!r}")
-    return name
-
-
-def configure_solver(solver: str | None = None) -> None:
-    """Install a process-wide S3 solver default (``None`` resets it)."""
-    _CONFIGURED["solver"] = None if solver is None else _validate_solver(solver)
-
-
-def resolve_solver(solver: str | None = None, cholesky: bool = True) -> str:
-    """The effective solver name for a sweep call.
-
-    Precedence: explicit ``solver`` > :func:`configure_solver` >
-    ``REPRO_SOLVER`` > the legacy ``cholesky`` boolean ("lapack" — the
-    batched LAPACK Cholesky — when true, "gaussian" when false).
-    """
-    if solver is not None:
-        return _validate_solver(solver)
-    if _CONFIGURED["solver"] is not None:
-        return _CONFIGURED["solver"]
-    env = os.environ.get(_ENV_SOLVER)
-    if env:
-        return _validate_solver(env)
-    return "lapack" if cholesky else "gaussian"
 
 
 def lapack_cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -255,11 +218,17 @@ SOLVERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 SOLVER_MODES = tuple(SOLVERS)
 
 
+def _validate_solver(name: str) -> str:
+    if name not in SOLVER_MODES:
+        raise ValueError(f"solver must be one of {SOLVER_MODES}, got {name!r}")
+    return name
+
+
+SOLVER = Knob("solver", "REPRO_SOLVER", "lapack", _validate_solver)
+configure_solver = SOLVER.configure
+resolve_solver = SOLVER.resolve
+
+
 def solver_fn(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The batched solve for a solver name."""
-    try:
-        return SOLVERS[name]
-    except KeyError:
-        raise ValueError(
-            f"solver must be one of {tuple(SOLVERS)}, got {name!r}"
-        ) from None
+    return SOLVERS[_validate_solver(name)]

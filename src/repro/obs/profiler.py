@@ -21,6 +21,7 @@ from repro.api import _ALGORITHMS, _CONFIGS
 from repro.core.als import ALSConfig, ALSModel
 from repro.datasets.catalog import DatasetSpec, dataset_by_name
 from repro.datasets.synthetic import generate_ratings
+from repro.knobs import effective
 from repro.obs import export, hotspot
 from repro.obs import metrics as obs_metrics
 from repro.obs.resource import ResourceSampler
@@ -67,10 +68,11 @@ class ProfileReport:
         export.write_metrics(path, self.metrics, self.records, meta=self._meta())
 
     def _meta(self) -> dict:
-        from repro.linalg.normal_equations import assembly_defaults
-        from repro.linalg.solvers import resolve_solver
-        from repro.parallel.executor import resolve_workers
-
+        c = self.config
+        knobs = effective(
+            assembly=c.assembly, tile_nnz=c.tile_nnz,
+            assembly_dtype=c.assembly_dtype, solver=c.solver, workers=c.workers,
+        )
         meta = {
             "dataset": self.spec.abbr,
             "scale": self.scale,
@@ -78,9 +80,10 @@ class ProfileReport:
             "k": self.config.k,
             "lam": self.config.lam,
             "iterations": self.config.iterations,
-            "assembly": self.config.assembly or assembly_defaults()["mode"],
-            "solver": resolve_solver(self.config.solver),
-            "workers": resolve_workers(self.config.workers),
+            "knobs": {
+                name: {"value": value, "source": source}
+                for name, (value, source) in knobs.items()
+            },
         }
         if self.algorithm == "implicit":
             meta["alpha"] = self.config.alpha

@@ -11,12 +11,10 @@ from repro.parallel.executor import (
     SweepExecutor,
     configure_workers,
     resolve_workers,
-    WORKERS_ENV,
 )
 
 __all__ = [
     "SweepExecutor",
     "configure_workers",
     "resolve_workers",
-    "WORKERS_ENV",
 ]

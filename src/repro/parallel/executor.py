@@ -13,9 +13,8 @@ scatters the per-shard factors into the output. Shard results depend
 only on each row's own non-zeros, so the parallel sweep is bit-identical
 to the serial one (asserted by tests/parallel/).
 
-Worker-count resolution mirrors the assembly knobs: explicit argument >
-:func:`configure_workers` (CLI) > ``REPRO_WORKERS`` environment > serial.
-``"auto"`` means one worker per available core.
+The worker count is the ``workers`` knob (:mod:`repro.knobs`; default
+serial); ``"auto"`` means one worker per available core.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.kernels.fastpath import sweep_occupied
+from repro.knobs import Knob
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix, RowShard
@@ -37,7 +37,6 @@ __all__ = [
     "configure_workers",
     "resolve_workers",
     "solve_bytes_per_row",
-    "WORKERS_ENV",
 ]
 
 
@@ -62,12 +61,6 @@ def solve_bytes_per_row(k: int) -> int:
     """
     return 8 * (k * k + 2 * k)
 
-WORKERS_ENV = "REPRO_WORKERS"
-
-# Process-wide default installed by configure_workers (the CLI flag
-# lands here); ``None`` falls through to the environment, then serial.
-_CONFIGURED: dict[str, int | None] = {"workers": None}
-
 
 def _parse_workers(value: int | str) -> int:
     """Normalize a workers spec (``"auto"``, ``"4"``, ``4``) to a count."""
@@ -86,28 +79,9 @@ def _parse_workers(value: int | str) -> int:
     return workers
 
 
-def configure_workers(workers: int | str | None = None) -> None:
-    """Install a process-wide worker-count default (``None`` resets it)."""
-    _CONFIGURED["workers"] = None if workers is None else _parse_workers(workers)
-
-
-def resolve_workers(workers: int | str | None = None) -> int:
-    """The effective worker count for a sweep.
-
-    Precedence: explicit ``workers`` > :func:`configure_workers` >
-    ``REPRO_WORKERS`` > 1 (serial — the seed behavior).
-    """
-    if workers is not None:
-        return _parse_workers(workers)
-    if _CONFIGURED["workers"] is not None:
-        return _CONFIGURED["workers"]
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return _parse_workers(env)
-        except ValueError as exc:
-            raise ValueError(f"{WORKERS_ENV}={env!r}: {exc}") from None
-    return 1
+WORKERS = Knob("workers", "REPRO_WORKERS", 1, _parse_workers)
+configure_workers = WORKERS.configure
+resolve_workers = WORKERS.resolve
 
 
 class SweepExecutor:
@@ -169,7 +143,6 @@ class SweepExecutor:
         X_prev: np.ndarray | None = None,
         weighted: bool = False,
         solver: str | None = None,
-        cholesky: bool = True,
         assembly: str | None = None,
         tile_nnz: int | None = None,
         compute_dtype: object | None = None,
@@ -235,7 +208,7 @@ class SweepExecutor:
         if gram_complement is not None and len(gram_complement) != R.nrows:
             raise ValueError(f"gram_complement must have {R.nrows} rows")
         kernel_kw = dict(
-            weighted=weighted, solver=solver, cholesky=cholesky,
+            weighted=weighted, solver=solver,
             assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
             implicit_alpha=implicit_alpha, base_gram=base_gram,
             col_block=col_block,

@@ -36,20 +36,20 @@ query path:
   effective memory bandwidth, the paper's single-precision kernels) or
   float64 (bit-compatible with the training factors).
 
-Knob resolution mirrors the assembly/solver subsystems: explicit
-argument > :func:`configure_serving` (CLI) > ``REPRO_SERVE_*``
-environment > built-in defaults; ``"auto"`` defers to the empirical
-selector in :mod:`repro.autotune.serving`.
+The tile budget, precision and user block are the ``serve_tile_bytes``,
+``serve_dtype`` and ``serve_user_block`` knobs (:mod:`repro.knobs`);
+``"auto"`` defers to the empirical selector in
+:mod:`repro.autotune.serving`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
+from repro.knobs import Knob, at_least
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix
@@ -80,50 +80,32 @@ DEFAULT_USER_BLOCK = 1024
 
 SERVE_DTYPES = {"float32": np.float32, "float64": np.float64}
 
-_ENV_TILE = "REPRO_SERVE_TILE_BYTES"
-_ENV_DTYPE = "REPRO_SERVE_DTYPE"
-_ENV_BLOCK = "REPRO_SERVE_USER_BLOCK"
-
-# Process-wide defaults installed by configure_serving (CLI flags land
-# here).  ``None`` falls through to the environment, then the built-ins.
-_CONFIGURED: dict[str, object | None] = {
-    "tile_bytes": None,
-    "dtype": None,
-    "user_block": None,
-}
+_positive = at_least()
 
 
 def _validate_tile_bytes(tile_bytes: object) -> object:
-    if tile_bytes == "auto":
-        return "auto"
-    tile_bytes = int(tile_bytes)
-    if tile_bytes < 1:
-        raise ValueError("tile_bytes must be >= 1")
-    return tile_bytes
+    return "auto" if tile_bytes == "auto" else _positive(tile_bytes)
 
 
-def _validate_dtype(dtype: object) -> object:
-    if dtype == "auto":
-        return "auto"
-    if isinstance(dtype, str):
-        if dtype not in SERVE_DTYPES:
-            raise ValueError(
-                f"serving dtype must be one of {tuple(SERVE_DTYPES)} or 'auto', "
-                f"got {dtype!r}"
-            )
-        return dtype
-    dt = np.dtype(dtype)
-    for name, np_dtype in SERVE_DTYPES.items():
-        if dt == np_dtype:
-            return name
-    raise ValueError(f"serving dtype must be float32 or float64, got {dt}")
+def _validate_dtype(dtype: object) -> str:
+    """A score precision (its name, a float dtype, or "auto") as its name."""
+    name = dtype if isinstance(dtype, str) else np.dtype(dtype).name
+    if name != "auto" and name not in SERVE_DTYPES:
+        raise ValueError(
+            f"serving dtype must be one of {tuple(SERVE_DTYPES)} or 'auto', "
+            f"got {dtype!r}"
+        )
+    return name
 
 
-def _validate_block(user_block: object) -> int:
-    user_block = int(user_block)
-    if user_block < 1:
-        raise ValueError("user_block must be >= 1")
-    return user_block
+SERVE_TILE_BYTES = Knob(
+    "serve_tile_bytes", "REPRO_SERVE_TILE_BYTES", DEFAULT_TILE_BYTES,
+    _validate_tile_bytes,
+)
+SERVE_DTYPE = Knob("serve_dtype", "REPRO_SERVE_DTYPE", "float64", _validate_dtype)
+SERVE_USER_BLOCK = Knob(
+    "serve_user_block", "REPRO_SERVE_USER_BLOCK", DEFAULT_USER_BLOCK, _positive
+)
 
 
 def configure_serving(
@@ -131,14 +113,10 @@ def configure_serving(
     dtype: object | None = None,
     user_block: int | None = None,
 ) -> None:
-    """Install process-wide serving defaults (``None`` resets a knob)."""
-    _CONFIGURED["tile_bytes"] = (
-        None if tile_bytes is None else _validate_tile_bytes(tile_bytes)
-    )
-    _CONFIGURED["dtype"] = None if dtype is None else _validate_dtype(dtype)
-    _CONFIGURED["user_block"] = (
-        None if user_block is None else _validate_block(user_block)
-    )
+    """Configure all three serving knobs; ``None`` resets a knob."""
+    SERVE_TILE_BYTES.configure(tile_bytes)
+    SERVE_DTYPE.configure(dtype)
+    SERVE_USER_BLOCK.configure(user_block)
 
 
 def serving_defaults() -> tuple[object, object, int]:
@@ -147,19 +125,11 @@ def serving_defaults() -> tuple[object, object, int]:
     Either of the first two may be the string ``"auto"``, meaning the
     engine will consult :func:`repro.autotune.serving.select_serving`.
     """
-    tile_bytes: object = _CONFIGURED["tile_bytes"]
-    if tile_bytes is None:
-        env = os.environ.get(_ENV_TILE)
-        tile_bytes = _validate_tile_bytes(env) if env else DEFAULT_TILE_BYTES
-    dtype: object = _CONFIGURED["dtype"]
-    if dtype is None:
-        env = os.environ.get(_ENV_DTYPE)
-        dtype = _validate_dtype(env) if env else "float64"
-    user_block = _CONFIGURED["user_block"]
-    if user_block is None:
-        env = os.environ.get(_ENV_BLOCK)
-        user_block = _validate_block(env) if env else DEFAULT_USER_BLOCK
-    return tile_bytes, dtype, int(user_block)
+    return (
+        SERVE_TILE_BYTES.resolve(),
+        SERVE_DTYPE.resolve(),
+        SERVE_USER_BLOCK.resolve(),
+    )
 
 
 @dataclass(frozen=True)
@@ -285,9 +255,8 @@ class TopNEngine:
         Y = np.asarray(Y)
         if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
             raise ValueError("X (m, k) and Y (n, k) must share a factor dim")
-        cfg_tile, cfg_dtype, cfg_block = serving_defaults()
-        tile_bytes = cfg_tile if tile_bytes is None else _validate_tile_bytes(tile_bytes)
-        dtype = cfg_dtype if dtype is None else _validate_dtype(dtype)
+        tile_bytes = SERVE_TILE_BYTES.resolve(tile_bytes)
+        dtype = SERVE_DTYPE.resolve(dtype)
         if tile_bytes == "auto" or dtype == "auto":
             from repro.autotune.serving import select_serving
 
@@ -299,9 +268,7 @@ class TopNEngine:
         self.tile_bytes = int(tile_bytes)
         self.dtype_name = str(dtype)
         self.dtype = SERVE_DTYPES[self.dtype_name]
-        self.user_block = _validate_block(
-            cfg_block if user_block is None else user_block
-        )
+        self.user_block = SERVE_USER_BLOCK.resolve(user_block)
         self._X = np.ascontiguousarray(X, dtype=self.dtype)
         self._Y = np.ascontiguousarray(Y, dtype=self.dtype)
         # A non-finite factor row poisons every score it touches: refuse
@@ -780,7 +747,7 @@ def topn_from_scores(
         raise ValueError("n must be positive")
     n = min(int(n), S.shape[1])
     if tile_bytes is None:
-        cfg_tile, _, _ = serving_defaults()
+        cfg_tile = SERVE_TILE_BYTES.resolve()
         tile_bytes = DEFAULT_TILE_BYTES if cfg_tile == "auto" else int(cfg_tile)
     if exclude is not None:
         if users is None:

@@ -36,9 +36,8 @@ reproduces the full-matrix assembly bit for bit — and within the
 resident shard the :class:`~repro.parallel.executor.SweepExecutor`
 re-shards by nnz balance exactly as it does in RAM.
 
-The shard byte budget resolves with the repo-wide precedence: explicit
-argument > :func:`configure_sharding` (CLI) > ``REPRO_SHARD_BYTES`` env
-var > :data:`DEFAULT_SHARD_BYTES`.
+The shard byte budget is the ``shard_bytes`` knob (:mod:`repro.knobs`;
+default :data:`DEFAULT_SHARD_BYTES`).
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.knobs import Knob, at_least
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix, DegreeBin, build_degree_bins
@@ -82,8 +82,6 @@ META_FILENAME = "meta.json"
 #: enough that per-shard overheads (binning, solve batching) amortize.
 DEFAULT_SHARD_BYTES = 256 << 20
 
-_ENV_SHARD_BYTES = "REPRO_SHARD_BYTES"
-
 #: Smallest budget worth honoring: below ~1 MB the per-shard Python
 #: overhead dwarfs the IO it schedules.  Spans may still exceed the
 #: budget when a single row does (a shard always holds >= 1 row).
@@ -92,50 +90,18 @@ MIN_SHARD_BYTES = 1 << 20
 INDEX_DTYPE = np.dtype(np.int64)
 VALUE_DTYPES = ("float32", "float64")
 
-# Process-wide default installed by configure_sharding (the CLI's
-# --shard-bytes lands here).  None falls through to the environment,
-# then the built-in.
-_CONFIGURED: dict[str, int | None] = {"shard_bytes": None}
 
-
-def _validate_shard_bytes(shard_bytes: int) -> int:
-    shard_bytes = int(shard_bytes)
-    if shard_bytes < MIN_SHARD_BYTES:
-        raise ValueError(
-            f"shard_bytes must be >= {MIN_SHARD_BYTES} (1 MB), got {shard_bytes}"
-        )
-    return shard_bytes
-
-
-def configure_sharding(shard_bytes: int | None = None) -> None:
-    """Install the process-wide shard byte budget (CLI flag lands here).
-
-    ``None`` resets to "fall back to ``REPRO_SHARD_BYTES`` / built-in",
-    so ``configure_sharding()`` restores the out-of-the-box behavior.
-    """
-    _CONFIGURED["shard_bytes"] = (
-        None if shard_bytes is None else _validate_shard_bytes(shard_bytes)
-    )
-
-
-def resolve_shard_bytes(shard_bytes: int | None = None) -> int:
-    """Explicit arg > configure_sharding > REPRO_SHARD_BYTES > default."""
-    if shard_bytes is not None:
-        return _validate_shard_bytes(shard_bytes)
-    if _CONFIGURED["shard_bytes"] is not None:
-        return _CONFIGURED["shard_bytes"]
-    env = os.environ.get(_ENV_SHARD_BYTES)
-    if env:
-        try:
-            return _validate_shard_bytes(int(env))
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_SHARD_BYTES}={env!r}: {exc}") from None
-    return DEFAULT_SHARD_BYTES
+SHARD_BYTES = Knob(
+    "shard_bytes", "REPRO_SHARD_BYTES", DEFAULT_SHARD_BYTES,
+    at_least(MIN_SHARD_BYTES),
+)
+configure_sharding = SHARD_BYTES.configure
+resolve_shard_bytes = SHARD_BYTES.resolve
 
 
 def sharding_defaults() -> dict[str, int]:
     """The currently resolved shard byte budget."""
-    return {"shard_bytes": resolve_shard_bytes(None)}
+    return {"shard_bytes": SHARD_BYTES.resolve()}
 
 
 def orientation_filenames(orientation: str) -> tuple[str, str, str]:

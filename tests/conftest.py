@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.sparse import COOMatrix, CSRMatrix
+
+
+@pytest.fixture(autouse=True)
+def _reset_knobs():
+    """No test sees or leaks a configured knob value."""
+    knobs.reset()
+    yield
+    knobs.reset()
 
 
 @pytest.fixture

@@ -20,17 +20,10 @@ import pytest
 
 from repro.core import ImplicitConfig, train_implicit_als
 from repro.core.implicit import implicit_half_sweep
-from repro.linalg import configure_assembly, tile_bytes_bound
+from repro.linalg import tile_bytes_bound
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
 from repro.sparse import COOMatrix, CSRMatrix
-
-
-@pytest.fixture(autouse=True)
-def _clean_assembly_config():
-    configure_assembly()
-    yield
-    configure_assembly()
 
 
 def _skewed_counts(rng: np.random.Generator, m: int = 48, n: int = 30) -> CSRMatrix:

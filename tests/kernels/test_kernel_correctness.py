@@ -113,8 +113,8 @@ class TestFastPath:
     def test_gaussian_matches_cholesky(self):
         R, Y = _problem(seed=8)
         np.testing.assert_allclose(
-            fast_half_sweep(R, Y, LAM, cholesky=False),
-            fast_half_sweep(R, Y, LAM, cholesky=True),
+            fast_half_sweep(R, Y, LAM, solver="gaussian"),
+            fast_half_sweep(R, Y, LAM, solver="lapack"),
             rtol=1e-8,
             atol=1e-10,
         )

@@ -23,14 +23,6 @@ from repro.obs.spans import capture, disable
 from repro.sparse import CSRMatrix
 
 
-@pytest.fixture(autouse=True)
-def _clean_assembly_config():
-    """Each test starts from (and restores) the built-in defaults."""
-    configure_assembly()
-    yield
-    configure_assembly()
-
-
 def _random_matrix(
     rng: np.random.Generator, m: int, n: int, density: float, skewed: bool = False
 ) -> CSRMatrix:

@@ -37,12 +37,6 @@ def spd_stack(
     return A, rng.standard_normal((batch, k))
 
 
-@pytest.fixture(autouse=True)
-def _reset_configured_solver():
-    yield
-    configure_solver(None)
-
-
 class TestVariantAgreement:
     """The three variants are code variants of ONE solve: same answer."""
 
@@ -236,14 +230,9 @@ class TestRegistryAndResolution:
         configure_solver("lapack")
         assert resolve_solver() == "lapack"
 
-    def test_resolve_env_beats_legacy_bool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "lapack")
-        assert resolve_solver(cholesky=False) == "lapack"
-
     def test_resolve_legacy_bool_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER", raising=False)
         assert resolve_solver() == "lapack"
-        assert resolve_solver(cholesky=False) == "gaussian"
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):

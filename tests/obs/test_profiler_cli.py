@@ -10,6 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core.als import ALSConfig, train_als
 from repro.datasets.planted import planted_problem
+from repro.knobs import table as knob_table
 from repro.obs.profiler import profile_training, render_report
 from repro.obs.spans import capture
 
@@ -57,6 +58,15 @@ class TestProfileTraining:
         payload = json.loads(path.read_text())
         assert payload["meta"]["dataset"] == "YMR4"
         assert payload["meta"]["device"] == "NVIDIA Tesla K20c"
+        # Every knob, with the value the run used and where it came from.
+        knobs = payload["meta"]["knobs"]
+        assert set(knobs) == {k.name for k in knob_table()}
+        assert knobs["solver"] == {"value": "lapack", "source": "default"}
+        assert all(
+            set(entry) == {"value", "source"}
+            and entry["source"] in {"argument", "configured", "env", "default"}
+            for entry in knobs.values()
+        )
         # One solver call per S3 solve group: at least one per half-sweep
         # (2 iterations x 2), plus a dual group per short-row width.
         s3_spans = sum(1 for r in report.records if r.attrs.get("stage") == "S3")

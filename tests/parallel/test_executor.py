@@ -31,12 +31,6 @@ from repro.sparse.csr import CSRMatrix
 from tests.conftest import random_rating_matrix
 
 
-@pytest.fixture(autouse=True)
-def _reset_configured_workers():
-    yield
-    configure_workers(None)
-
-
 @pytest.fixture
 def ratings_matrix(rng) -> CSRMatrix:
     # Includes empty rows (density 0.2 over 60 rows) so the sharded

@@ -30,12 +30,6 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
 
-@pytest.fixture(autouse=True)
-def _reset_serving_config():
-    yield
-    configure_serving(None, None, None)
-
-
 def full_sort_reference(X, Y, users, n, exclude):
     """Dense lexsort oracle: (score desc, id asc), PAD_ITEM past -inf."""
     S = X[users] @ Y.T

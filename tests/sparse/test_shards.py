@@ -217,9 +217,6 @@ class TestStoreErrors:
 
 
 class TestKnobs:
-    def teardown_method(self):
-        configure_sharding()  # restore out-of-the-box behavior
-
     def test_precedence(self, monkeypatch):
         assert resolve_shard_bytes() == DEFAULT_SHARD_BYTES
         monkeypatch.setenv("REPRO_SHARD_BYTES", str(4 << 20))

@@ -1,0 +1,111 @@
+"""The knob table: one precedence rule, sources, env errors, CLI flags."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import knobs
+from repro.cli import main
+
+#: A valid non-default value per knob, in its string (env/CLI) form,
+#: and what it resolves to.
+GOOD = {
+    "assembly": ("scatter", "scatter"),
+    "tile_nnz": ("77", 77),
+    "assembly_dtype": ("float32", "float32"),
+    "solver": ("gaussian", "gaussian"),
+    "workers": ("2", 2),
+    "serve_tile_bytes": ("4096", 4096),
+    "serve_dtype": ("float32", "float32"),
+    "serve_user_block": ("7", 7),
+    "shard_bytes": (str(2 << 20), 2 << 20),
+}
+
+#: The CLI flag of every knob that has one, with a value its parse rejects.
+FLAGS = {
+    "assembly": ("--assembly", "magic"),
+    "tile_nnz": ("--tile-nnz", "0"),
+    "assembly_dtype": ("--assembly-dtype", "float16"),
+    "solver": ("--solver", "qr"),
+    "workers": ("--workers", "0"),
+    "serve_tile_bytes": ("--tile-bytes", "0"),
+    "serve_dtype": ("--serve-dtype", "float16"),
+    "shard_bytes": ("--shard-bytes", "5"),
+}
+
+TABLE = {k.name: k for k in knobs.table()}
+
+
+@pytest.fixture
+def no_knob_env(monkeypatch):
+    for knob in TABLE.values():
+        monkeypatch.delenv(knob.env, raising=False)
+
+
+def test_table_holds_the_nine_knobs():
+    assert set(TABLE) == set(GOOD)
+    for name, knob in TABLE.items():
+        assert knob.env == "REPRO_" + name.upper()
+
+
+@pytest.mark.parametrize("name", sorted(GOOD))
+def test_precedence_and_source(name, monkeypatch, no_knob_env):
+    knob = TABLE[name]
+    raw, value = GOOD[name]
+    assert knob.source() == "default"
+    assert knob.resolve() == knob.default != value
+    monkeypatch.setenv(knob.env, "")  # empty counts as unset
+    assert knob.source() == "default"
+    monkeypatch.setenv(knob.env, raw)
+    assert (knob.resolve(), knob.source()) == (value, "env")
+    knob.configure(knob.default)
+    assert (knob.resolve(), knob.source()) == (knob.default, "configured")
+    assert (knob.resolve(raw), knob.source(raw)) == (value, "argument")
+    knob.configure(None)
+    assert knob.source() == "env"
+
+
+@pytest.mark.parametrize("name", sorted(GOOD))
+def test_bad_env_value_names_the_variable(name, monkeypatch):
+    knob = TABLE[name]
+    monkeypatch.setenv(knob.env, "bogus")
+    with pytest.raises(ValueError, match=f"^{knob.env}='bogus': "):
+        knob.resolve()
+
+
+def test_effective_and_reset(monkeypatch, no_knob_env):
+    monkeypatch.setenv("REPRO_WORKERS", "3")
+    TABLE["solver"].configure("gaussian")
+    eff = knobs.effective(tile_nnz=5)
+    assert list(eff) == list(TABLE)
+    assert eff["solver"] == ("gaussian", "configured")
+    assert eff["workers"] == (3, "env")
+    assert eff["tile_nnz"] == (5, "argument")
+    assert eff["assembly"] == ("binned", "default")
+    knobs.reset()
+    assert knobs.effective()["solver"] == ("lapack", "default")
+    with pytest.raises(ValueError, match="unknown knobs"):
+        knobs.effective(colour="red")
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a bad choice itself
+        return exc.code
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_cli_flag_bad_value_exits_2(name, capsys):
+    flag, bad = FLAGS[name]
+    assert _exit_code(["list", flag, bad]) == 2
+    assert bad in capsys.readouterr().err
+    assert TABLE[name].source() != "configured"
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_cli_flag_configures_its_knob(name, capsys):
+    flag, _ = FLAGS[name]
+    raw, value = GOOD[name]
+    assert main(["list", flag, raw]) == 0
+    assert (TABLE[name].resolve(), TABLE[name].source()) == (value, "configured")
