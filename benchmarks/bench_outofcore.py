@@ -3,10 +3,9 @@
 
 Trains the same synthetic Netflix-shape ratings twice — once on in-RAM
 CSR/CSC views, once streaming byte-budgeted shards from an on-disk
-store — and compares wall time, loss trajectories and peak RSS.  Each
-phase runs in its own subprocess because ``ru_maxrss`` is a monotonic
-per-process high-water mark: a fresh interpreter per phase is the only
-way to attribute a peak to one phase.
+store — and compares wall time, loss trajectories and peak RSS, each
+phase in its own subprocess.  ``BENCH_7.json`` at the repo root records
+the committed numbers.
 
 Run directly (not under pytest)::
 
@@ -16,231 +15,29 @@ Run directly (not under pytest)::
 
 ``--check`` verifies the tentpole claims: the sharded losses match the
 in-RAM trajectory to 1e-10 relative, sharded throughput retains >= 70%
-of in-RAM, and the sharded phase's peak-RSS delta stays under 50% of
-the in-RAM delta.  Where the kernel enforces ``RLIMIT_DATA`` (Linux >=
-4.7; probed, not assumed — the limit caps heap plus anonymous mmaps but
-not file-backed maps, exactly the split out-of-core training exploits)
-the sharded phase is additionally re-run under a hard cap sized to half
-the in-RAM footprint and must complete; the in-RAM phase is run under
-the same cap to demonstrate it cannot (recorded, and on Linux it dies
-in the allocator).
+of in-RAM, the sharded phase's peak-RSS delta stays under 50% of the
+in-RAM delta, and, where the kernel enforces ``RLIMIT_DATA``, the
+sharded phase survives a hard cap sized to half the in-RAM footprint.
+
+The benchmark body lives in :mod:`repro.bench.workloads.outofcore` (the
+grid workload registered as ``outofcore``); this entry point is a thin
+single-cell wrapper over :func:`repro.bench.grid.run_single_cell`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
-from time import perf_counter
 
+from repro.bench.grid import run_single_cell
 from repro.bench.record import (
     add_telemetry_args,
     enable_telemetry_if_requested,
     write_record,
     write_telemetry,
 )
-from repro.datasets.catalog import NETFLIX
-
-K = 32
-LAM = 0.1
-ITERATIONS = 2
-_PHASE_MARKER = "PHASE_RESULT "
-
-#: Probe allocation sizes: limit the data segment to 128 MB, then try to
-#: grab 256 MB.  On kernels that enforce RLIMIT_DATA for anonymous maps
-#: the allocation raises MemoryError; elsewhere it silently succeeds.
-_PROBE = (
-    "import resource\n"
-    "resource.setrlimit(resource.RLIMIT_DATA, (1 << 27, 1 << 27))\n"
-    "try:\n"
-    "    b = bytearray(1 << 28)\n"
-    "    print('UNENFORCED')\n"
-    "except MemoryError:\n"
-    "    print('ENFORCED')\n"
-)
-
-
-def rlimit_data_enforced() -> bool:
-    """Whether this kernel applies RLIMIT_DATA to anonymous mappings."""
-    try:
-        out = subprocess.run(
-            [sys.executable, "-c", _PROBE],
-            capture_output=True, text=True, timeout=60,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return False
-    return out.returncode == 0 and "ENFORCED" in out.stdout
-
-
-# ----------------------------------------------------------------------
-# child: one training phase in a fresh interpreter
-# ----------------------------------------------------------------------
-def run_phase(ns: argparse.Namespace) -> int:
-    if ns.limit_bytes:
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_DATA, (ns.limit_bytes, ns.limit_bytes))
-    import numpy as np
-
-    from repro.core.als import ALSConfig, train_als
-    from repro.obs.resource import peak_rss_bytes
-    from repro.sparse.shards import ShardStore
-
-    baseline = peak_rss_bytes() or 0
-    store = ShardStore.open(ns.store, shard_bytes=ns.shard_bytes)
-    cfg = ALSConfig(k=ns.k, lam=LAM, iterations=ns.iterations, seed=ns.seed)
-    t0 = perf_counter()
-    if ns.run_phase == "ram":
-        ratings = store.rows.to_csr()
-        store.release_pages()
-    else:
-        ratings = store
-    build_seconds = perf_counter() - t0
-    t0 = perf_counter()
-    model = train_als(ratings, cfg)
-    train_seconds = perf_counter() - t0
-    peak = peak_rss_bytes() or 0
-    nnz = store.nnz
-    result = {
-        "phase": ns.run_phase,
-        "build_seconds": build_seconds,
-        "train_seconds": train_seconds,
-        "ratings_per_sec": nnz * ns.iterations / max(train_seconds, 1e-9),
-        "baseline_rss_bytes": baseline,
-        "peak_rss_bytes": peak,
-        "delta_rss_bytes": peak - baseline,
-        "losses": [float(s.loss) for s in model.history],
-        "final_rmse": float(model.history[-1].train_rmse),
-        "limit_bytes": ns.limit_bytes,
-        "x_check": float(np.sum(np.abs(model.X))),  # cheap cross-phase probe
-    }
-    print(_PHASE_MARKER + json.dumps(result), flush=True)
-    return 0
-
-
-def launch_phase(
-    phase: str, store: str, ns: argparse.Namespace, limit_bytes: int = 0
-) -> tuple[int, dict | None]:
-    """Run one phase subprocess; returns (exit code, parsed result)."""
-    cmd = [
-        sys.executable, str(Path(__file__).resolve()),
-        "--run-phase", phase, "--store", store,
-        "--k", str(ns.k), "--iterations", str(ns.iterations),
-        "--shard-bytes", str(ns.shard_bytes), "--seed", str(ns.seed),
-    ]
-    if limit_bytes:
-        cmd += ["--limit-bytes", str(limit_bytes)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    result = None
-    for line in proc.stdout.splitlines():
-        if line.startswith(_PHASE_MARKER):
-            result = json.loads(line[len(_PHASE_MARKER):])
-    if proc.returncode != 0 and not limit_bytes:
-        sys.stderr.write(proc.stderr)
-    return proc.returncode, result
-
-
-# ----------------------------------------------------------------------
-# parent: build the store once, fan the phases out, compare
-# ----------------------------------------------------------------------
-def run_benchmark(ns: argparse.Namespace) -> dict:
-    from repro.datasets.shardio import build_shard_store
-    from repro.datasets.synthetic import generate_ratings_chunked
-
-    spec = NETFLIX.scaled(ns.scale)
-    store_dir = ns.store or str(
-        Path(tempfile.mkdtemp(prefix="repro-bench-ooc-")) / "store"
-    )
-    print(
-        f"out-of-core training benchmark: {spec.abbr} scale={ns.scale:g} "
-        f"(m={spec.m}, n={spec.n}, nnz={spec.nnz}), k={ns.k}, "
-        f"iterations={ns.iterations}, shard_bytes={ns.shard_bytes}",
-        flush=True,
-    )
-    t0 = perf_counter()
-    # The chunk factory streams the generator twice (count pass + scatter
-    # pass); the parent never materializes the full rating matrix.
-    store = build_shard_store(
-        store_dir,
-        lambda: generate_ratings_chunked(spec, seed=ns.seed),
-        shape=(spec.m, spec.n),
-        sorted_within_rows=True,
-        overwrite=ns.store is None,
-    )
-    build_seconds = perf_counter() - t0
-    print(f"  store   : {store.nnz} nnz packed in {build_seconds:.2f} s "
-          f"at {store_dir}", flush=True)
-
-    code, ram = launch_phase("ram", store_dir, ns)
-    if code != 0 or ram is None:
-        raise RuntimeError("in-RAM phase failed")
-    print(f"  in-RAM  : {ram['train_seconds']:8.2f} s "
-          f"({ram['ratings_per_sec']:,.0f} ratings/s), "
-          f"peak RSS delta {ram['delta_rss_bytes'] / 2**20:,.1f} MB", flush=True)
-    code, sharded = launch_phase("sharded", store_dir, ns)
-    if code != 0 or sharded is None:
-        raise RuntimeError("sharded phase failed")
-    print(f"  sharded : {sharded['train_seconds']:8.2f} s "
-          f"({sharded['ratings_per_sec']:,.0f} ratings/s), "
-          f"peak RSS delta {sharded['delta_rss_bytes'] / 2**20:,.1f} MB",
-          flush=True)
-
-    retention = sharded["ratings_per_sec"] / ram["ratings_per_sec"]
-    rss_ratio = (
-        sharded["delta_rss_bytes"] / ram["delta_rss_bytes"]
-        if ram["delta_rss_bytes"] > 0 else float("inf")
-    )
-    loss_rel = max(
-        (
-            abs(a - b) / max(1.0, abs(a))
-            for a, b in zip(ram["losses"], sharded["losses"])
-        ),
-        default=float("inf"),
-    )
-    print(f"  retention {retention:.2f}x  RSS ratio {rss_ratio:.2f}  "
-          f"loss parity {loss_rel:.2e}", flush=True)
-
-    # The hard-cap demonstration: sharded must train inside a budget
-    # sized to half the in-RAM footprint; in-RAM cannot.
-    enforced = rlimit_data_enforced()
-    cap_bytes = int(ram["baseline_rss_bytes"] + 0.5 * ram["delta_rss_bytes"])
-    capped: dict = {"rlimit_data_enforced": enforced, "cap_bytes": cap_bytes}
-    if enforced:
-        code_s, res_s = launch_phase("sharded", store_dir, ns, limit_bytes=cap_bytes)
-        capped["sharded_exit"] = code_s
-        capped["sharded_ok"] = code_s == 0 and res_s is not None
-        code_r, _ = launch_phase("ram", store_dir, ns, limit_bytes=cap_bytes)
-        capped["ram_exit"] = code_r
-        capped["ram_failed_as_expected"] = code_r != 0
-        print(f"  capped  : RLIMIT_DATA={cap_bytes / 2**20:,.1f} MB -> "
-              f"sharded exit {code_s}, in-RAM exit {code_r}", flush=True)
-    else:
-        print("  capped  : RLIMIT_DATA not enforced on this kernel; "
-              "relying on the measured RSS deltas", flush=True)
-
-    return {
-        "benchmark": "outofcore_training",
-        "dataset": spec.abbr,
-        "scale": ns.scale,
-        "m": spec.m,
-        "n": spec.n,
-        "nnz": store.nnz,
-        "k": ns.k,
-        "lam": LAM,
-        "iterations": ns.iterations,
-        "shard_bytes": ns.shard_bytes,
-        "seed": ns.seed,
-        "store_build_seconds": build_seconds,
-        "ram": ram,
-        "sharded": sharded,
-        "throughput_retention": retention,
-        "rss_delta_ratio": rss_ratio,
-        "loss_rel_err": loss_rel,
-        "capped": capped,
-    }
+from repro.bench.workloads.outofcore import ITERATIONS, K, check_record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -269,26 +66,20 @@ def main(argv: list[str] | None = None) -> int:
         help="write the JSON report here (default: BENCH_7.json for full "
         "runs, no file for --quick)",
     )
-    # internal: child-process mode
-    parser.add_argument("--run-phase", choices=("ram", "sharded"), help=argparse.SUPPRESS)
-    parser.add_argument("--limit-bytes", type=int, default=0, help=argparse.SUPPRESS)
     add_telemetry_args(parser)
     ns = parser.parse_args(argv)
-
-    if ns.run_phase:
-        if not ns.store:
-            parser.error("--run-phase requires --store")
-        if ns.scale is None:
-            ns.scale = 1.0
-        return run_phase(ns)
-
     enable_telemetry_if_requested(ns)
-    if ns.scale is None:
-        ns.scale = 1 / 64 if ns.quick else 1 / 8
-    if ns.shard_bytes is None:
-        ns.shard_bytes = (8 << 20) if ns.quick else (32 << 20)
 
-    result = run_benchmark(ns)
+    # check=False: the record must land (and be written below) even when
+    # the bar is missed; the bar is applied explicitly for --check.
+    params = {
+        "quick": ns.quick, "check": False, "k": ns.k,
+        "iterations": ns.iterations, "seed": ns.seed,
+    }
+    for name in ("scale", "shard_bytes", "store"):
+        if getattr(ns, name) is not None:
+            params[name] = getattr(ns, name)
+    result = run_single_cell("outofcore", params)
 
     out = ns.out
     if out is None and not ns.quick:
@@ -299,31 +90,10 @@ def main(argv: list[str] | None = None) -> int:
     write_telemetry(ns, meta={"benchmark": result["benchmark"]})
 
     if ns.check:
-        failures = []
-        if result["loss_rel_err"] > 1e-10:
-            failures.append(
-                f"loss trajectories disagree: rel err "
-                f"{result['loss_rel_err']:.3e} > 1e-10"
-            )
-        if result["throughput_retention"] < 0.7:
-            failures.append(
-                f"throughput retention {result['throughput_retention']:.2f} "
-                f"is below the required 0.70"
-            )
-        if not result["rss_delta_ratio"] < 0.5:
-            failures.append(
-                f"sharded RSS delta is {result['rss_delta_ratio']:.2f}x the "
-                f"in-RAM delta (need < 0.5)"
-            )
-        capped = result["capped"]
-        if capped["rlimit_data_enforced"] and not capped.get("sharded_ok"):
-            failures.append(
-                f"sharded training died under the "
-                f"{capped['cap_bytes'] / 2**20:,.1f} MB RLIMIT_DATA cap"
-            )
+        failures = check_record(result, params)
         if failures:
-            for f in failures:
-                print(f"FAIL: {f}", file=sys.stderr)
+            for message in failures:
+                print(f"FAIL: {message}", file=sys.stderr)
             return 1
         print(
             f"OK: retention {result['throughput_retention']:.2f} >= 0.70, "

@@ -74,7 +74,7 @@ class Recommender:
         algorithm: str = "als",
         seed: int = 0,
         alpha: float = 40.0,
-        block_size: int | str | None = None,
+        block_size: int | None = None,
         block_schedule: str | None = None,
     ) -> None:
         if algorithm not in _ALGORITHMS:

@@ -13,9 +13,10 @@ Importing this package registers every bundled workload with
   (:mod:`repro.bench.workloads.implicit`);
 * ``serving`` — the long-lived RecommendService load test
   (:mod:`repro.bench.workloads.serving`);
-* ``outofcore`` / ``convergence`` — adapters over the remaining
-  ``benchmarks/bench_*.py`` scripts
-  (:mod:`repro.bench.workloads.scripts`).
+* ``outofcore`` — out-of-core sharded training vs in-RAM, one
+  subprocess per phase (:mod:`repro.bench.workloads.outofcore`);
+* ``convergence`` — iALS++ subspace blocks vs full-k sweeps
+  (:mod:`repro.bench.workloads.convergence`).
 
 Every workload takes ``quick``/``check`` plus per-benchmark overrides
 and returns the same record dict its ``benchmarks/bench_*.py`` wrapper
@@ -24,8 +25,9 @@ writes, so grid cells and standalone runs land identical evidence.
 
 from repro.bench.workloads import (  # noqa: F401  (self-registering)
     assembly,
+    convergence,
     implicit,
-    scripts,
+    outofcore,
     serving,
     solve,
     topn,

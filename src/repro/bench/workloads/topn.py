@@ -129,15 +129,6 @@ def run_benchmark(scale: float, k: int, top_n: int, repeats: int, seed: int) -> 
             flush=True,
         )
 
-    from repro.autotune.serving import select_serving
-
-    decision = select_serving(R.ncols, k)
-    print(
-        f"  autotune picks   : tile_bytes={decision.tile_bytes} "
-        f"dtype={decision.dtype}",
-        flush=True,
-    )
-
     best = max(engines.values(), key=lambda e: e["users_per_sec"])
     return {
         "benchmark": "tiled_topn_serving",
@@ -157,7 +148,6 @@ def run_benchmark(scale: float, k: int, top_n: int, repeats: int, seed: int) -> 
             "peak_scoring_bytes": dense_bytes,
         },
         "engines": engines,
-        "autotune": {"tile_bytes": decision.tile_bytes, "dtype": decision.dtype},
         "best_speedup": best["speedup"],
         "best_peak_fraction_of_dense": best["peak_scoring_bytes"] / dense_bytes,
         "f64_identical_to_dense": f64_identical,

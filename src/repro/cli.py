@@ -7,10 +7,6 @@ Usage::
     repro-als fig7 --metrics m.json  # + machine-readable metrics dump
     repro-als all                  # everything, in paper order
     repro-als tune gpu NTFX        # exhaustive variant search (§III-D)
-    repro-als tune-blocks ML1M --k 64
-                                   # measure iALS++ subspace block widths
-    repro-als tune-serving ML1M    # measure serving tile size x dtype
-    repro-als tune-sharding NTFX   # measure out-of-core shard budgets
     repro-als train NTFX --out-of-core --scale 0.1 --save model
                                    # pack a shard store and train the
                                    # blocked out-of-core sweeps on it
@@ -60,11 +56,11 @@ Usage::
 The knob flags ``--assembly``, ``--tile-nnz``, ``--assembly-dtype``,
 ``--solver``, ``--workers``, ``--tile-bytes``, ``--serve-dtype`` and
 ``--shard-bytes`` configure the knobs of :mod:`repro.knobs` (each also
-has a ``REPRO_*`` environment variable); a bad value exits 2.  Training
-can descend on column subspaces instead of full k-wide rows:
-``--block-size {d,auto}`` picks the iALS++ block width (``auto`` =
-measure via :mod:`repro.autotune.blocks`) and ``--block-schedule
-{paired,sweep}`` its visit order.
+has a ``REPRO_*`` environment variable); a bad value exits 2.  Each
+knob has a fixed default; none is measured at run time.  Training can
+descend on column subspaces instead of full k-wide rows: ``--block-size
+D`` sets the iALS++ block width (a positive integer; a bad value exits
+2) and ``--block-schedule {paired,sweep}`` its visit order.
 """
 
 from __future__ import annotations
@@ -75,6 +71,7 @@ import sys
 from repro.autotune.search import exhaustive_search
 from repro.bench.experiments import EXPERIMENTS, run_with_metrics
 from repro.clsim.device import device_by_name
+from repro.core.subspace import validate_block_size
 from repro.datasets.catalog import dataset_by_name
 from repro.datasets.synthetic import degree_sequences
 from repro.kernels.opencl_source import generate_program
@@ -114,66 +111,6 @@ def _run_tune(device_name: str, dataset_name: str, k: int) -> int:
     return 0
 
 
-def _run_tune_blocks(ns: argparse.Namespace) -> int:
-    if len(ns.args) > 1:
-        print("usage: repro-als tune-blocks [<dataset>] [--k K]", file=sys.stderr)
-        return 2
-    from repro.autotune.blocks import measure_blocks
-
-    if ns.args:
-        try:
-            spec = dataset_by_name(ns.args[0])
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        nnz_per_row = max(1, round(spec.nnz / spec.m))
-        label = f"{spec.abbr} (~{nnz_per_row} ratings/row)"
-    else:
-        nnz_per_row, label = 64, "~64 ratings/row"
-    decision = measure_blocks(ns.k, nnz_per_row, seed=ns.seed)
-    print(f"iALS++ block widths for {label}, k={ns.k}, measured on a "
-          f"synthetic convergence probe (time to shared target loss "
-          f"{decision.target_loss:.4f}):")
-    for d, seconds in sorted(decision.seconds_to_target.items()):
-        tag = "full sweep" if d == decision.k else f"d={d}"
-        marker = "  <- best" if d == decision.block_size else ""
-        print(f"  {tag:12s} {seconds * 1e3:9.2f} ms{marker}")
-    print(f"best: block_size={decision.block_size} "
-          f"({decision.speedup:.2f}x over the full sweep); cached for "
-          f"(k={decision.k}, nnz/row<={decision.nnz_bucket})")
-    return 0
-
-
-def _run_tune_serving(ns: argparse.Namespace) -> int:
-    if len(ns.args) > 1:
-        print("usage: repro-als tune-serving [<dataset>] [--k K]", file=sys.stderr)
-        return 2
-    from repro.autotune.serving import measure_serving
-
-    if ns.args:
-        try:
-            spec = dataset_by_name(ns.args[0])
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        n_items, label = spec.n, f"{spec.abbr} (n={spec.n})"
-    else:
-        n_items, label = 4096, "n=4096"
-    decision = measure_serving(n_items, ns.k, top_n=ns.n, seed=ns.seed)
-    print(f"serving engine candidates for {label}, k={ns.k}, top-{ns.n}:")
-    ranked = sorted(
-        decision.users_per_sec.items(), key=lambda kv: kv[1], reverse=True
-    )
-    for (tile_bytes, dtype), ups in ranked:
-        print(f"  tile={tile_bytes >> 20:3d} MB  {dtype:8s} {ups:12.0f} users/s")
-    print(
-        f"best: tile={decision.tile_bytes} bytes, {decision.dtype} "
-        f"({decision.speedup:.2f}x over the slowest); cached for "
-        f"(k={decision.k}, n<={decision.n_bucket})"
-    )
-    return 0
-
-
 def _resolve_training_input(
     name_or_dir: str, ns: argparse.Namespace, *, out_of_core: bool
 ):
@@ -206,12 +143,21 @@ def _resolve_training_input(
     return store, f"{label} -> {dest}"
 
 
+def _block_size_arg(raw: str) -> int:
+    """``--block-size``: an integer width that passes validate_block_size."""
+    value = int(raw) if raw.strip().isdigit() else raw
+    try:
+        validate_block_size(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _block_knobs(ns: argparse.Namespace) -> dict:
     """``--block-size``/``--block-schedule`` as Recommender kwargs."""
     knobs: dict = {}
     if ns.block_size is not None:
-        raw = ns.block_size
-        knobs["block_size"] = raw if raw == "auto" else int(raw)
+        knobs["block_size"] = ns.block_size
     if ns.block_schedule is not None:
         knobs["block_schedule"] = ns.block_schedule
     return knobs
@@ -293,30 +239,6 @@ def _cfg_dict(cfg) -> dict:
     from dataclasses import asdict
 
     return asdict(cfg)
-
-
-def _run_tune_sharding(ns: argparse.Namespace) -> int:
-    if len(ns.args) != 1:
-        print("usage: repro-als tune-sharding <dataset|store-dir> [--k K]",
-              file=sys.stderr)
-        return 2
-    from repro.autotune.sharding import measure_sharding
-    from repro.sparse.shards import ShardStore
-
-    try:
-        source, label = _resolve_training_input(ns.args[0], ns, out_of_core=True)
-    except (KeyError, FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    assert isinstance(source, ShardStore)
-    decision = measure_sharding(source, k=ns.k)
-    print(f"shard budgets on {label}, k={ns.k}:")
-    for budget, seconds in sorted(decision.seconds.items()):
-        print(f"  {budget >> 20:5d} MB  {decision.shards[budget]:3d} shards  "
-              f"{seconds * 1e3:9.2f} ms/half-sweep")
-    print(f"best: {decision.shard_bytes >> 20} MB "
-          f"({decision.speedup:.2f}x over the slowest)")
-    return 0
 
 
 def _run_recommend(ns: argparse.Namespace) -> int:
@@ -630,15 +552,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "command",
         help="experiment id (table1, fig1, fig6..fig10, ksweep), 'all', 'list', "
-        "'summary', 'tune', 'tune-serving', "
-        "'tune-sharding', 'tune-blocks', 'train', 'recommend', 'emit-cl', "
+        "'summary', 'tune', 'train', 'recommend', 'emit-cl', "
         "'profile', 'perf-gate', 'grid', 'serve-metrics' or 'serve'",
     )
     parser.add_argument(
         "args", nargs="*",
-        help="for tune: <device> <dataset>; for profile/"
-        "tune-serving/recommend: <dataset>; for train/"
-        "tune-sharding: <dataset> or a shard-store directory; for "
+        help="for tune: <device> <dataset>; for profile/recommend: "
+        "<dataset>; for train: <dataset> or a shard-store directory; for "
         "perf-gate: benchmark record JSON files; for grid: "
         "run|status|export|reset-errors plus an optional config "
         "(builtin name or JSON path) or grid name",
@@ -697,10 +617,10 @@ def main(argv: list[str] | None = None) -> int:
         "thread count (default: serial)",
     )
     parser.add_argument(
-        "--block-size", default=None, metavar="D",
-        help="train/recommend: iALS++ subspace block width — an integer "
-        "d < k descends on d-column blocks, 'auto' measures the best "
-        "width (default: full k-wide sweeps)",
+        "--block-size", type=_block_size_arg, default=None, metavar="D",
+        help="train/recommend/serve: iALS++ subspace block width — a "
+        "positive integer d < k descends on d-column blocks (default: "
+        "full k-wide sweeps)",
     )
     parser.add_argument(
         "--block-schedule", default=None, choices=("paired", "sweep"),
@@ -710,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--n", type=int, default=10,
-        help="recommend/tune-serving: recommendations per user (default 10)",
+        help="recommend: recommendations per user (default 10)",
     )
     parser.add_argument(
         "--users", type=int, default=5,
@@ -719,11 +639,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tile-bytes", dest="serve_tile_bytes", default=None, metavar="B",
         help="serving tile budget: bytes of score buffer per user block "
-        "('auto' = measure; default 8 MB)",
+        "(default 8 MB)",
     )
     parser.add_argument(
-        "--serve-dtype", default=None, choices=("float32", "float64", "auto"),
-        help="serving score precision (default: float64; 'auto' = measure)",
+        "--serve-dtype", default=None, choices=("float32", "float64"),
+        help="serving score precision (default: float64)",
     )
     parser.add_argument(
         "--shard-bytes", default=None, metavar="B",
@@ -742,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--store", default=None, metavar="DIR",
-        help="train/tune-sharding: shard-store directory to build "
+        help="train: shard-store directory to build "
         "(default: a fresh temp dir); grid: sqlite results-store path "
         "(default: grid.sqlite)",
     )
@@ -869,12 +789,6 @@ def _dispatch(ns: argparse.Namespace) -> int:
             print("usage: repro-als tune <device> <dataset>", file=sys.stderr)
             return 2
         return _run_tune(ns.args[0], ns.args[1], ns.k)
-    if ns.command == "tune-serving":
-        return _run_tune_serving(ns)
-    if ns.command == "tune-sharding":
-        return _run_tune_sharding(ns)
-    if ns.command == "tune-blocks":
-        return _run_tune_blocks(ns)
     if ns.command == "train":
         return _run_train(ns)
     if ns.command == "recommend":

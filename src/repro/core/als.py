@@ -83,12 +83,11 @@ class ALSConfig:
     factors: str = "ram"
     factors_dir: str | None = None  # memmap location; None = fresh temp dir
     # iALS++ subspace descent: update the factors in column blocks of
-    # width `block_size` — an int, "auto" (the measured tune-blocks
-    # selector), or None for the historical full-k sweeps.  A full-width
-    # block reproduces the full sweep bitwise.  `block_schedule` orders
-    # the updates: "paired" interleaves X/Y per block (iALS++), "sweep"
-    # finishes all X blocks before any Y block.
-    block_size: int | str | None = None
+    # width `block_size` — an int, or None for the historical full-k
+    # sweeps.  A full-width block reproduces the full sweep bitwise.
+    # `block_schedule` orders the updates: "paired" interleaves X/Y per
+    # block (iALS++), "sweep" finishes all X blocks before any Y block.
+    block_size: int | None = None
     block_schedule: str = "paired"
 
     def __post_init__(self) -> None:
@@ -282,11 +281,7 @@ def _train(
             tile_nnz=config.tile_nnz, compute_dtype=config.assembly_dtype,
             **objective.sweep_kw,
         )
-        block_d = resolve_block_size(
-            config.block_size, config.k,
-            nnz_per_row=R_rows.nnz / max(1, m),
-            compute_dtype=config.assembly_dtype,
-        )
+        block_d = resolve_block_size(config.block_size, config.k)
         blocks = None if block_d is None else make_blocks(config.k, block_d)
         state = SubspaceState()  # carried across iterations
         history: list[IterationStats] = []

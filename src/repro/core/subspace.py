@@ -70,43 +70,23 @@ __all__ = [
 BLOCK_SCHEDULES = ("paired", "sweep")
 
 
-def validate_block_size(value: int | str | None) -> None:
+def validate_block_size(value: int | None) -> None:
     """Raise on a malformed ``block_size`` spec (config validation)."""
     if value is None:
         return
-    if isinstance(value, str):
-        if value.strip().lower() != "auto":
-            raise ValueError(
-                f"block_size must be 'auto' or a positive integer, got {value!r}"
-            )
-        return
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(
-            f"block_size must be 'auto' or a positive integer, got {value!r}"
+            f"block_size must be a positive integer (None = full sweeps), "
+            f"got {value!r}"
         )
     if int(value) < 1:
         raise ValueError(f"block_size must be >= 1, got {int(value)}")
 
 
-def resolve_block_size(
-    block_size: int | str | None,
-    k: int,
-    *,
-    nnz_per_row: float | None = None,
-    compute_dtype: object | None = None,
-) -> int | None:
-    """The effective subspace size: ``None`` (full sweeps), an explicit
-    ``d`` clamped to ``k``, or the measured ``"auto"`` selection per
-    (k, nnz/row, dtype) from :mod:`repro.autotune.blocks`."""
-    if block_size is None:
-        return None
-    if isinstance(block_size, str):
-        from repro.autotune.blocks import select_block_size
-
-        return min(k, select_block_size(
-            k, nnz_per_row=nnz_per_row, compute_dtype=compute_dtype
-        ))
-    return min(k, int(block_size))
+def resolve_block_size(block_size: int | None, k: int) -> int | None:
+    """The effective subspace size: ``None`` (full sweeps) or an explicit
+    ``d`` clamped to ``k``."""
+    return None if block_size is None else min(k, int(block_size))
 
 
 def make_blocks(k: int, d: int) -> tuple[tuple[int, int], ...]:

@@ -5,14 +5,19 @@ long-lived process needs a scrape target.  :class:`MetricsEndpoint`
 runs a ``ThreadingHTTPServer`` on a daemon thread and serves
 
 * ``GET /metrics`` — the registry in Prometheus text format
-  (:func:`repro.obs.exporter.render_prometheus`),
+  (:func:`repro.obs.exporter.render_prometheus`); ``?window=1`` swaps
+  the quantile summaries for delta-since-last-scrape windows,
 * ``GET /healthz`` — a small JSON liveness document (status, uptime,
   pid), the probe a supervisor points at.
 
-Everything else is a JSON 404.  ``port=0`` binds an ephemeral port
-(read it back from :attr:`port` — the tests' idiom); the handler reads
-the registry through its consistent ``snapshot()``, so scrapes during a
-training sweep are never torn.
+Everything else is a JSON 404.  Subclasses mount more paths by
+overriding :meth:`MetricsEndpoint._route` (and extend the health
+document through :meth:`MetricsEndpoint._health`); the recommendation
+service's front, :class:`repro.serving.service.ServiceEndpoint`, is
+one.  ``port=0`` binds an ephemeral port (read it back from
+:attr:`port` — the tests' idiom); the handler reads the registry
+through its consistent ``snapshot()``, so scrapes during a training
+sweep are never torn.
 
 Usage::
 
@@ -33,6 +38,7 @@ import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlparse
 
 from repro.obs.exporter import render_prometheus
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -46,6 +52,12 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 class MetricsEndpoint:
     """Background ``/metrics`` + ``/healthz`` server over one registry."""
+
+    #: Paths listed in a 404 body.
+    endpoints: tuple[str, ...] = ("/metrics", "/healthz")
+    #: Path :meth:`url` points at by default.
+    default_path = "/metrics"
+    thread_name = "repro-metrics-endpoint"
 
     def __init__(
         self,
@@ -74,8 +86,8 @@ class MetricsEndpoint:
             return self._server.server_address[1]
         return self._requested_port
 
-    def url(self, path: str = "/metrics") -> str:
-        return f"http://{self.host}:{self.port}{path}"
+    def url(self, path: str | None = None) -> str:
+        return f"http://{self.host}:{self.port}{path or self.default_path}"
 
     def start(self) -> "MetricsEndpoint":
         if self._server is not None:
@@ -87,7 +99,7 @@ class MetricsEndpoint:
                 endpoint._handle(self)
 
             def log_message(self, fmt: str, *args: object) -> None:
-                pass  # scrapes should not spam the training process's stderr
+                pass  # request logs do not belong on the process's stderr
 
         self._server = ThreadingHTTPServer(
             (self.host, self._requested_port), Handler
@@ -96,7 +108,7 @@ class MetricsEndpoint:
         self._started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._server.serve_forever,
-            name="repro-metrics-endpoint",
+            name=self.thread_name,
             daemon=True,
         )
         self._thread.start()
@@ -123,28 +135,42 @@ class MetricsEndpoint:
     # request handling
     # ------------------------------------------------------------------
     def _handle(self, request: BaseHTTPRequestHandler) -> None:
-        path = request.path.split("?", 1)[0]
+        parsed = urlparse(request.path)
+        path = parsed.path
+        params = parse_qs(parsed.query)
         if path == "/metrics":
-            body = render_prometheus(self.registry).encode("utf-8")
+            windowed = params.get("window", ["0"])[0] in ("1", "true", "yes")
+            source = (
+                self.registry.window_snapshot() if windowed else self.registry
+            )
+            body = render_prometheus(source).encode("utf-8")
             self._respond(request, 200, PROMETHEUS_CONTENT_TYPE, body)
         elif path == "/healthz":
-            uptime = (
-                time.monotonic() - self._started_at
-                if self._started_at is not None
-                else 0.0
-            )
-            payload = {
-                "status": "ok",
-                "pid": os.getpid(),
-                "uptime_seconds": round(uptime, 3),
-            }
-            self._respond_json(request, 200, payload)
-        else:
-            self._respond_json(
-                request, 404,
-                {"status": "not found", "path": path,
-                 "endpoints": ["/metrics", "/healthz"]},
-            )
+            self._respond_json(request, 200, self._health())
+        elif not self._route(request, path, params):
+            self._respond_json(request, 404, {
+                "status": "not found", "path": path,
+                "endpoints": list(self.endpoints),
+            })
+
+    def _health(self) -> dict:
+        """The ``/healthz`` document."""
+        uptime = (
+            time.monotonic() - self._started_at
+            if self._started_at is not None
+            else 0.0
+        )
+        return {
+            "status": "ok",
+            "pid": os.getpid(),
+            "uptime_seconds": round(uptime, 3),
+        }
+
+    def _route(
+        self, request: BaseHTTPRequestHandler, path: str, params: dict
+    ) -> bool:
+        """Answer a path beyond ``/metrics`` and ``/healthz``; False = 404."""
+        return False
 
     @staticmethod
     def _respond(

@@ -37,9 +37,10 @@ query path:
   float64 (bit-compatible with the training factors).
 
 The tile budget, precision and user block are the ``serve_tile_bytes``,
-``serve_dtype`` and ``serve_user_block`` knobs (:mod:`repro.knobs`);
-``"auto"`` defers to the empirical selector in
-:mod:`repro.autotune.serving`.
+``serve_dtype`` and ``serve_user_block`` knobs (:mod:`repro.knobs`).
+Each has a fixed default (8 MiB, float64, 1024 users) that the
+committed ``BENCH_4.json`` record settled; none is measured at run time,
+and ``"auto"`` is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -83,24 +84,18 @@ SERVE_DTYPES = {"float32": np.float32, "float64": np.float64}
 _positive = at_least()
 
 
-def _validate_tile_bytes(tile_bytes: object) -> object:
-    return "auto" if tile_bytes == "auto" else _positive(tile_bytes)
-
-
 def _validate_dtype(dtype: object) -> str:
-    """A score precision (its name, a float dtype, or "auto") as its name."""
+    """A score precision (its name or a float dtype) as its name."""
     name = dtype if isinstance(dtype, str) else np.dtype(dtype).name
-    if name != "auto" and name not in SERVE_DTYPES:
+    if name not in SERVE_DTYPES:
         raise ValueError(
-            f"serving dtype must be one of {tuple(SERVE_DTYPES)} or 'auto', "
-            f"got {dtype!r}"
+            f"serving dtype must be one of {tuple(SERVE_DTYPES)}, got {dtype!r}"
         )
     return name
 
 
 SERVE_TILE_BYTES = Knob(
-    "serve_tile_bytes", "REPRO_SERVE_TILE_BYTES", DEFAULT_TILE_BYTES,
-    _validate_tile_bytes,
+    "serve_tile_bytes", "REPRO_SERVE_TILE_BYTES", DEFAULT_TILE_BYTES, _positive
 )
 SERVE_DTYPE = Knob("serve_dtype", "REPRO_SERVE_DTYPE", "float64", _validate_dtype)
 SERVE_USER_BLOCK = Knob(
@@ -109,7 +104,7 @@ SERVE_USER_BLOCK = Knob(
 
 
 def configure_serving(
-    tile_bytes: int | str | None = None,
+    tile_bytes: int | None = None,
     dtype: object | None = None,
     user_block: int | None = None,
 ) -> None:
@@ -119,12 +114,8 @@ def configure_serving(
     SERVE_USER_BLOCK.configure(user_block)
 
 
-def serving_defaults() -> tuple[object, object, int]:
-    """Effective ``(tile_bytes, dtype, user_block)`` before autotuning.
-
-    Either of the first two may be the string ``"auto"``, meaning the
-    engine will consult :func:`repro.autotune.serving.select_serving`.
-    """
+def serving_defaults() -> tuple[int, str, int]:
+    """Effective ``(tile_bytes, dtype, user_block)`` of a new engine."""
     return (
         SERVE_TILE_BYTES.resolve(),
         SERVE_DTYPE.resolve(),
@@ -235,7 +226,7 @@ class TopNEngine:
 
     One engine serves many queries: the item factors are cast to the
     scoring dtype once at construction, and tile geometry is resolved
-    once (consulting the empirical autotuner when a knob is ``"auto"``).
+    once.
     User blocks are independent, so multi-worker engines shard them
     across :class:`repro.parallel.SweepExecutor`'s thread pool (the
     GEMMs drop the GIL).
@@ -246,7 +237,7 @@ class TopNEngine:
         X: np.ndarray,
         Y: np.ndarray,
         *,
-        tile_bytes: int | str | None = None,
+        tile_bytes: int | None = None,
         dtype: object | None = None,
         user_block: int | None = None,
         workers: int | str | None = None,
@@ -255,18 +246,8 @@ class TopNEngine:
         Y = np.asarray(Y)
         if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
             raise ValueError("X (m, k) and Y (n, k) must share a factor dim")
-        tile_bytes = SERVE_TILE_BYTES.resolve(tile_bytes)
-        dtype = SERVE_DTYPE.resolve(dtype)
-        if tile_bytes == "auto" or dtype == "auto":
-            from repro.autotune.serving import select_serving
-
-            decision = select_serving(Y.shape[0], Y.shape[1])
-            if tile_bytes == "auto":
-                tile_bytes = decision.tile_bytes
-            if dtype == "auto":
-                dtype = decision.dtype
-        self.tile_bytes = int(tile_bytes)
-        self.dtype_name = str(dtype)
+        self.tile_bytes = SERVE_TILE_BYTES.resolve(tile_bytes)
+        self.dtype_name = SERVE_DTYPE.resolve(dtype)
         self.dtype = SERVE_DTYPES[self.dtype_name]
         self.user_block = SERVE_USER_BLOCK.resolve(user_block)
         self._X = np.ascontiguousarray(X, dtype=self.dtype)
@@ -746,9 +727,7 @@ def topn_from_scores(
     if n <= 0:
         raise ValueError("n must be positive")
     n = min(int(n), S.shape[1])
-    if tile_bytes is None:
-        cfg_tile = SERVE_TILE_BYTES.resolve()
-        tile_bytes = DEFAULT_TILE_BYTES if cfg_tile == "auto" else int(cfg_tile)
+    tile_bytes = SERVE_TILE_BYTES.resolve(tile_bytes)
     if exclude is not None:
         if users is None:
             raise ValueError("users required to exclude seen items")

@@ -43,22 +43,19 @@ snapshots.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from time import perf_counter
-from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.endpoint import PROMETHEUS_CONTENT_TYPE
-from repro.obs.exporter import render_prometheus
+from repro.obs.endpoint import MetricsEndpoint
 from repro.obs.spans import is_enabled
 from repro.serving.engine import TopNEngine
 from repro.sparse.csr import CSRMatrix
@@ -517,17 +514,20 @@ class RecommendService:
         return generation
 
 
-class ServiceEndpoint:
+class ServiceEndpoint(MetricsEndpoint):
     """Stdlib HTTP front of a :class:`RecommendService`.
 
     ``GET /recommend?user=U&n=N`` answers through the service's request
-    loop (coalescing and cache included); ``/metrics`` serves the obs
-    registry in Prometheus text format, with ``?window=1`` swapping the
-    quantile summaries for delta-since-last-scrape windows; ``/healthz``
-    and ``/stats`` are JSON.  Same lifecycle as
-    :class:`repro.obs.endpoint.MetricsEndpoint` (daemon thread,
-    ``port=0`` = ephemeral).
+    loop (coalescing and cache included) and ``/stats`` serves the
+    service's counters as JSON.  Everything else — the lifecycle,
+    ``/metrics`` (with ``?window=1``) and ``/healthz``, here extended
+    with the model generation and cache size — is
+    :class:`repro.obs.endpoint.MetricsEndpoint`.
     """
+
+    endpoints = ("/recommend", "/metrics", "/healthz", "/stats")
+    default_path = "/recommend"
+    thread_name = "repro-serve-endpoint"
 
     def __init__(
         self,
@@ -538,107 +538,32 @@ class ServiceEndpoint:
         default_n: int = 10,
         timeout: float = 30.0,
     ):
+        super().__init__(registry, host, port)
         self.service = service
-        self.registry = registry or obs_metrics.get_registry()
-        self.host = host
         self.default_n = int(default_n)
         self.timeout = float(timeout)
-        self._requested_port = int(port)
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self._started_at: float | None = None
-
-    @property
-    def running(self) -> bool:
-        return self._server is not None
-
-    @property
-    def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    def url(self, path: str = "/recommend") -> str:
-        return f"http://{self.host}:{self.port}{path}"
-
-    def start(self) -> "ServiceEndpoint":
-        if self._server is not None:
-            return self
-        endpoint = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                endpoint._handle(self)
-
-            def log_message(self, fmt: str, *args: object) -> None:
-                pass  # request logs do not belong on the service's stderr
-
-        self._server = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
-        )
-        self._server.daemon_threads = True
-        self._started_at = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve-endpoint",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-        self._started_at = None
-
-    def __enter__(self) -> "ServiceEndpoint":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # request handling
     # ------------------------------------------------------------------
-    def _handle(self, request: BaseHTTPRequestHandler) -> None:
-        parsed = urlparse(request.path)
-        path = parsed.path
-        params = parse_qs(parsed.query)
+    def _health(self) -> dict:
+        return {
+            **super()._health(),
+            "status": "ok" if self.service.running else "stopped",
+            "generation": self.service.generation,
+            "cache_entries": self.service.cache_entries(),
+        }
+
+    def _route(
+        self, request: BaseHTTPRequestHandler, path: str, params: dict
+    ) -> bool:
         if path == "/recommend":
             self._handle_recommend(request, params)
-        elif path == "/metrics":
-            windowed = params.get("window", ["0"])[0] in ("1", "true", "yes")
-            source = (
-                self.registry.window_snapshot() if windowed else self.registry
-            )
-            body = render_prometheus(source).encode("utf-8")
-            self._respond(request, 200, PROMETHEUS_CONTENT_TYPE, body)
-        elif path == "/healthz":
-            uptime = (
-                time.monotonic() - self._started_at
-                if self._started_at is not None
-                else 0.0
-            )
-            self._respond_json(request, 200, {
-                "status": "ok" if self.service.running else "stopped",
-                "pid": os.getpid(),
-                "uptime_seconds": round(uptime, 3),
-                "generation": self.service.generation,
-                "cache_entries": self.service.cache_entries(),
-            })
         elif path == "/stats":
             self._respond_json(request, 200, self.service.stats.snapshot())
         else:
-            self._respond_json(request, 404, {
-                "status": "not found", "path": path,
-                "endpoints": ["/recommend", "/metrics", "/healthz", "/stats"],
-            })
+            return False
+        return True
 
     def _handle_recommend(
         self, request: BaseHTTPRequestHandler, params: dict
@@ -670,19 +595,3 @@ class ServiceEndpoint:
             "generation": res.generation,
             "cached": res.cached,
         })
-
-    @staticmethod
-    def _respond(
-        request: BaseHTTPRequestHandler, code: int, ctype: str, body: bytes
-    ) -> None:
-        request.send_response(code)
-        request.send_header("Content-Type", ctype)
-        request.send_header("Content-Length", str(len(body)))
-        request.end_headers()
-        request.wfile.write(body)
-
-    def _respond_json(
-        self, request: BaseHTTPRequestHandler, code: int, payload: dict
-    ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._respond(request, code, "application/json; charset=utf-8", body)

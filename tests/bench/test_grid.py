@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import signal
 import subprocess
@@ -79,6 +80,28 @@ def test_builtin_grids_reference_registered_workloads():
         for benchmark, params in expand_config(load_config(name)):
             assert grid.get_workload(benchmark).name == benchmark
             assert params["quick"] is True
+
+
+def test_library_loads_no_script_by_path():
+    # Every workload body is a module of the package: nothing under
+    # src/repro imports a file by path or names a benchmarks/ directory
+    # outside its docstrings.
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "spec_from_file_location", path
+            elif isinstance(node, ast.Name):
+                assert node.id != "spec_from_file_location", path
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                assert "benchmarks" not in node.value.split("/"), (
+                    f"{path}:{node.lineno}"
+                )
 
 
 # ----------------------------------------------------------------------

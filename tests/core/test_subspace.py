@@ -16,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Recommender
+from repro.cli import main as cli_main
 from repro.core.als import ALSConfig, ALSModel, IterationStats, train_als
 from repro.core.alswr import train_als_wr
 from repro.core.implicit import ImplicitConfig, train_implicit_als
@@ -79,10 +81,11 @@ class TestBlockPlumbing:
 
     def test_validate_block_size(self):
         validate_block_size(None)
-        validate_block_size("auto")
         validate_block_size(4)
         with pytest.raises(ValueError):
             validate_block_size(0)
+        with pytest.raises(ValueError, match="block_size"):
+            validate_block_size("auto")  # no width is measured at run time
         with pytest.raises(ValueError):
             validate_block_size("fast")
         with pytest.raises(ValueError):
@@ -110,6 +113,18 @@ class TestBlockPlumbing:
             ALSConfig(k=4, block_schedule="zigzag")
         with pytest.raises(ValueError):
             ImplicitConfig(k=4, block_size="turbo")
+        with pytest.raises(ValueError, match="block_size"):
+            ALSConfig(k=4, block_size="auto")
+        with pytest.raises(ValueError, match="block_size"):
+            Recommender(k=4, block_size="auto")
+
+    @pytest.mark.parametrize("bad", ["auto", "fast"])
+    @pytest.mark.parametrize("command", ["train", "recommend", "serve"])
+    def test_cli_bad_block_size_exits_2(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "ML1M", "--block-size", bad])
+        assert exc.value.code == 2
+        assert "block_size" in capsys.readouterr().err
 
 
 class TestFullWidthReduction:

@@ -348,18 +348,17 @@ class TestKnobs:
         assert engine.dtype_name == "float32"
         assert engine.user_block == 99
 
-    def test_auto_consults_autotuner(self, problem, monkeypatch):
+    def test_auto_is_rejected(self, problem):
+        # No serving knob is measured at run time: "auto" is a bad value
+        # from an argument and from the configured value alike.
         X, Y, _ = problem
-        import repro.autotune.serving as auto
-
-        sentinel = auto.ServingDecision(
-            tile_bytes=1 << 20, dtype="float32", users_per_sec={},
-            n_items=Y.shape[0], k=X.shape[1], n_bucket=512,
-        )
-        monkeypatch.setattr(auto, "select_serving", lambda n, k: sentinel)
-        engine = TopNEngine(X, Y, tile_bytes="auto", dtype="auto")
-        assert engine.tile_bytes == 1 << 20
-        assert engine.dtype_name == "float32"
+        for arg, knob in (("tile_bytes", "serve_tile_bytes"),
+                          ("dtype", "serve_dtype")):
+            with pytest.raises(ValueError, match=f"^{knob}='auto': "):
+                TopNEngine(X, Y, **{arg: "auto"})
+            with pytest.raises(ValueError, match=f"^{knob}='auto': "):
+                configure_serving(**{arg: "auto"})
+        assert serving_defaults()[:2] == (DEFAULT_TILE_BYTES, "float64")
 
     def test_workers_shard_identically(self, problem):
         X, Y, R = problem

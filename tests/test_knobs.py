@@ -21,17 +21,21 @@ GOOD = {
     "shard_bytes": (str(2 << 20), 2 << 20),
 }
 
-#: The CLI flag of every knob that has one, with a value its parse rejects.
+#: The CLI flag of every knob that has one, with values its parse rejects.
+#: The serving knobs have fixed defaults, so "auto" is a bad value too.
 FLAGS = {
     "assembly": ("--assembly", "magic"),
     "tile_nnz": ("--tile-nnz", "0"),
     "assembly_dtype": ("--assembly-dtype", "float16"),
     "solver": ("--solver", "qr"),
     "workers": ("--workers", "0"),
-    "serve_tile_bytes": ("--tile-bytes", "0"),
-    "serve_dtype": ("--serve-dtype", "float16"),
+    "serve_tile_bytes": ("--tile-bytes", "0", "auto"),
+    "serve_dtype": ("--serve-dtype", "float16", "auto"),
     "shard_bytes": ("--shard-bytes", "5"),
 }
+
+#: Environment values each knob rejects besides "bogus".
+BAD_ENV = {"serve_tile_bytes": ("auto",), "serve_dtype": ("auto",)}
 
 TABLE = {k.name: k for k in knobs.table()}
 
@@ -68,9 +72,10 @@ def test_precedence_and_source(name, monkeypatch, no_knob_env):
 @pytest.mark.parametrize("name", sorted(GOOD))
 def test_bad_env_value_names_the_variable(name, monkeypatch):
     knob = TABLE[name]
-    monkeypatch.setenv(knob.env, "bogus")
-    with pytest.raises(ValueError, match=f"^{knob.env}='bogus': "):
-        knob.resolve()
+    for bad in ("bogus",) + BAD_ENV.get(name, ()):
+        monkeypatch.setenv(knob.env, bad)
+        with pytest.raises(ValueError, match=f"^{knob.env}='{bad}': "):
+            knob.resolve()
 
 
 def test_effective_and_reset(monkeypatch, no_knob_env):
@@ -97,15 +102,16 @@ def _exit_code(argv: list[str]) -> int:
 
 @pytest.mark.parametrize("name", sorted(FLAGS))
 def test_cli_flag_bad_value_exits_2(name, capsys):
-    flag, bad = FLAGS[name]
-    assert _exit_code(["list", flag, bad]) == 2
-    assert bad in capsys.readouterr().err
-    assert TABLE[name].source() != "configured"
+    flag, *bads = FLAGS[name]
+    for bad in bads:
+        assert _exit_code(["list", flag, bad]) == 2
+        assert bad in capsys.readouterr().err
+        assert TABLE[name].source() != "configured"
 
 
 @pytest.mark.parametrize("name", sorted(FLAGS))
 def test_cli_flag_configures_its_knob(name, capsys):
-    flag, _ = FLAGS[name]
+    flag = FLAGS[name][0]
     raw, value = GOOD[name]
     assert main(["list", flag, raw]) == 0
     assert (TABLE[name].resolve(), TABLE[name].source()) == (value, "configured")
