@@ -36,7 +36,7 @@ def main() -> None:
     model = repro.train_implicit_als(
         split.train, repro.ImplicitConfig(k=16, lam=0.1, alpha=20.0, iterations=8)
     )
-    print("weighted loss per iteration:",
+    print("implicit objective per iteration:",
           " ".join(f"{v:.0f}" for v in model.losses()))
 
     R_train = repro.CSRMatrix.from_coo(split.train)

@@ -350,7 +350,8 @@ class Recommender:
         arrays plus JSON metadata whose ``algorithm`` field selects the
         config and model types, and whose ``history`` is the
         per-iteration :class:`IterationStats` (an implicit model's
-        ``loss`` is the weighted loss, its ``train_rmse`` null).
+        ``loss`` is the exact implicit objective, its ``train_rmse``
+        null; a checkpoint keeps the history it was saved with).
         """
         model = self.model
         meta = {

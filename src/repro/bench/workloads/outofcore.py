@@ -7,10 +7,13 @@ The benchmark body behind ``benchmarks/bench_outofcore.py``.
 Trains the same synthetic Netflix-shape ratings twice — once on in-RAM
 CSR/CSC views, once streaming byte-budgeted shards from an on-disk
 store — and compares wall time, loss trajectories and peak RSS.  Each
-phase runs in its own subprocess because ``ru_maxrss`` is a monotonic
-per-process high-water mark: a fresh interpreter per phase is the only
-way to attribute a peak to one phase.  A phase child is this module
-run as ``python -m repro.bench.workloads.outofcore --run-phase ...``.
+phase runs in its own subprocess because the peak RSS (``VmHWM``, see
+:func:`repro.obs.resource.peak_rss_bytes`) is a monotonic per-process
+high-water mark: a fresh interpreter per phase is the only way to
+attribute a peak to one phase.  A phase child is this module run as
+``python -m repro.bench.workloads.outofcore --run-phase ...``.  A store
+built in a temporary directory (no ``--store``) is removed when the run
+ends, failed or not.
 
 Where the kernel enforces ``RLIMIT_DATA`` (Linux >= 4.7; probed, not
 assumed — the limit caps heap plus anonymous mmaps but not file-backed
@@ -169,13 +172,31 @@ def run_benchmark(
     seed: int,
     store: str | None = None,
 ) -> dict:
+    """Build the store (at ``store``, else in a temporary directory that
+    is removed afterwards, also on failure) and compare the phases."""
+    kw = dict(
+        scale=scale, k=k, iterations=iterations, shard_bytes=shard_bytes,
+        seed=seed,
+    )
+    if store is not None:
+        return _compare(store_dir=store, overwrite=False, **kw)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ooc-") as tmp:
+        return _compare(store_dir=str(Path(tmp) / "store"), overwrite=True, **kw)
+
+
+def _compare(
+    scale: float,
+    k: int,
+    iterations: int,
+    shard_bytes: int,
+    seed: int,
+    store_dir: str,
+    overwrite: bool,
+) -> dict:
     from repro.datasets.shardio import build_shard_store
     from repro.datasets.synthetic import generate_ratings_chunked
 
     spec = NETFLIX.scaled(scale)
-    store_dir = store or str(
-        Path(tempfile.mkdtemp(prefix="repro-bench-ooc-")) / "store"
-    )
     print(
         f"out-of-core training benchmark: {spec.abbr} scale={scale:g} "
         f"(m={spec.m}, n={spec.n}, nnz={spec.nnz}), k={k}, "
@@ -190,7 +211,7 @@ def run_benchmark(
         lambda: generate_ratings_chunked(spec, seed=seed),
         shape=(spec.m, spec.n),
         sorted_within_rows=True,
-        overwrite=store is None,
+        overwrite=overwrite,
     )
     build_seconds = perf_counter() - t0
     print(f"  store   : {built.nnz} nnz packed in {build_seconds:.2f} s "

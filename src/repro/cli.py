@@ -227,8 +227,8 @@ def _run_train(ns: argparse.Namespace) -> int:
         last = history[-1]
         if last.train_rmse is not None:
             print(f"final train RMSE: {last.train_rmse:.4f}")
-        else:  # implicit: the loss is the confidence-weighted one
-            print(f"final weighted loss: {last.loss:.4f}")
+        else:  # implicit: the exact implicit objective
+            print(f"final implicit objective: {last.loss:.4f}")
     if ns.save:
         rec.save(ns.save)
         print(f"model saved to {ns.save}")

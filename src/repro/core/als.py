@@ -199,8 +199,10 @@ def resolve_factor_dir(config: "ALSConfig") -> str | None:
     return config.factors_dir or tempfile.mkdtemp(prefix="repro-factors-")
 
 
-def _eq2_loss(view, X: np.ndarray, Y: np.ndarray, config: ALSConfig):
-    """Eq. 2 and the train RMSE, from one pass over the ratings."""
+def _eq2_loss(
+    view, X: np.ndarray, Y: np.ndarray, config: ALSConfig, predictions=None
+):
+    """Eq. 2 and the train RMSE, from one fresh pass over the ratings."""
     return loss_and_rmse(view, X, Y, config.lam)
 
 
@@ -212,8 +214,11 @@ class _Objective:
     the config's solver/assembly knobs: ``weighted=True`` selects
     ALS-WR's ``λ·n_u`` regularizer, ``implicit_alpha`` the implicit
     kernel (whose full half-sweeps also get the fixed side's ``FᵀF``).
-    ``loss(view, X, Y, config)`` returns ``(loss, train_rmse or None)``
-    for the iteration history.
+    ``loss(view, X, Y, config, predictions)`` returns ``(loss,
+    train_rmse or None)`` for the iteration history; ``predictions``
+    are the subspace trainer's maintained per-rating ``x_uᵀy_i`` in
+    ``view`` entry order on strict blocks, else ``None``.  Only the
+    implicit objective reads them; the explicit ones recompute.
     """
 
     algorithm: str  # the als.train span's `algorithm` attribute
@@ -319,8 +324,10 @@ def _train(
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:
                         with span("als.loss", iteration=it):
+                            # state.p is current after the iteration's
+                            # last restore (None without strict blocks).
                             loss, train_rmse = objective.loss(
-                                loss_view, X, Y, config
+                                loss_view, X, Y, config, state.p
                             )
                             history.append(
                                 IterationStats(

@@ -44,7 +44,9 @@ def weighted_half_sweep(
         )
 
 
-def _wr_loss(view, X: np.ndarray, Y: np.ndarray, config: ALSConfig):
+def _wr_loss(
+    view, X: np.ndarray, Y: np.ndarray, config: ALSConfig, predictions=None
+):
     """The WR objective differs from Eq. 2; RMSE is the comparable
     metric, so the loss records the (unweighted) fit term RMSE²·nnz."""
     err = rmse(view, X, Y)

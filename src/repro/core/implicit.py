@@ -64,8 +64,9 @@ class ImplicitConfig(ALSConfig):
     """Hyper-parameters of implicit-feedback ALS: :class:`ALSConfig`
     plus the confidence slope ``alpha``.
 
-    ``tol`` stops on the relative weighted-loss improvement, with the
-    explicit trainer's exact semantics.
+    ``tol`` stops on the relative improvement of the exact implicit
+    objective (unobserved cells included, see :func:`_implicit_loss`),
+    with the explicit trainer's exact semantics.
     """
 
     alpha: float = 40.0  # confidence slope: c = 1 + α·r
@@ -77,7 +78,8 @@ class ImplicitConfig(ALSConfig):
 
 
 class ImplicitModel(ALSModel):
-    """Implicit factors; ``history`` tracks the weighted loss (no RMSE)."""
+    """Implicit factors; ``history`` tracks the exact implicit objective
+    over every cell, observed or not (no RMSE)."""
 
     def score(self, user: int) -> np.ndarray:
         """Preference scores of one user over all items."""
@@ -124,36 +126,63 @@ def implicit_half_sweep(
         return _half_sweep(ex, R, Y, lam, None, out, kw)
 
 
-def _weighted_loss(
+def _observed_fit(value: np.ndarray, s: np.ndarray, alpha: float) -> float:
+    """``Σ [c·(1 − s)² − s²]`` over stored entries with predictions ``s``.
+
+    The observed cells' share of the objective once the dense
+    ``Σ_all s²`` is split off (:func:`_implicit_loss`).
+    """
+    conf = 1.0 + alpha * value.astype(np.float64)
+    err = 1.0 - s
+    return float(conf @ (err * err)) - float(s @ s)
+
+
+def _implicit_loss(
     ratings: COOMatrix | ShardedCSR,
     X: np.ndarray,
     Y: np.ndarray,
     config: ImplicitConfig,
+    predictions: np.ndarray | None = None,
 ) -> tuple[float, None]:
-    """Confidence-weighted objective over observed entries plus penalty.
+    """The exact implicit objective: every cell, observed or not.
 
-    The full implicit objective also sums over *unobserved* cells; this
-    tracker omits that constant-heavy term (standard practice for
-    monitoring convergence direction cheaply).  A :class:`ShardedCSR`
-    streams resident shards and accumulates partial sums (matching the
-    in-RAM value to float64 rounding).  There is no train RMSE.
+    ``Σ_all c·(p − x_uᵀy_i)² + λ(‖X‖² + ‖Y‖²)`` with ``p = 1, c = 1 + α·r``
+    on observed cells and ``p = 0, c = 1`` elsewhere.  Splitting the
+    unobserved cells off through ``Σ_all s² = ⟨XᵀX, YᵀY⟩_F`` leaves
+
+        Σ_obs [c·(1 − s)² − s²] + ⟨XᵀX, YᵀY⟩_F + λ(‖X‖² + ‖Y‖²),
+
+    an O(nnz) pass plus two k×k Gramians.  ``predictions`` are the
+    subspace trainer's maintained ``s`` (:class:`SubspaceState` ``p``,
+    in ``ratings`` entry order): with them the observed pass reads
+    ``s`` instead of recomputing ``nnz·k`` dots.  Without them (the
+    full-sweep and d = k paths) ``s`` is computed fresh by one shared
+    code path, so those two loss histories stay bitwise equal.  A
+    :class:`ShardedCSR` streams its resident shards and reads the
+    predictions by entry range, matching the in-RAM value to float64
+    rounding.  There is no train RMSE.
     """
     alpha = config.alpha
     if isinstance(ratings, ShardedCSR):
         fit = 0.0
         for sp, mat in ratings.iter_resident(prefetch=False):
-            rows = sp.row_start + mat.expanded_rows()
-            pred = entry_predictions(X, rows, Y, mat.col_idx)
-            conf = 1.0 + alpha * mat.value.astype(np.float64)
-            err = 1.0 - pred
-            fit += float(conf @ (err * err))
+            if predictions is None:
+                rows = sp.row_start + mat.expanded_rows()
+                s = entry_predictions(X, rows, Y, mat.col_idx)
+            else:
+                s = predictions[sp.nnz_start:sp.nnz_stop]
+            fit += _observed_fit(mat.value, s, alpha)
     else:
-        pred = entry_predictions(X, ratings.row, Y, ratings.col)
-        conf = 1.0 + alpha * ratings.value.astype(np.float64)
-        err = 1.0 - pred
-        fit = float(conf @ (err * err))
+        if predictions is None:
+            s = entry_predictions(X, ratings.row, Y, ratings.col)
+        else:
+            s = predictions
+        fit = _observed_fit(ratings.value, s, alpha)
+    Xc = np.ascontiguousarray(X, dtype=np.float64)
+    Yc = np.ascontiguousarray(Y, dtype=np.float64)
+    unobserved = float(np.vdot(Xc.T @ Xc, Yc.T @ Yc))
     penalty = float(np.sum(X * X)) + float(np.sum(Y * Y))
-    return fit + config.lam * penalty, None
+    return fit + unobserved + config.lam * penalty, None
 
 
 def train_implicit_als(
@@ -175,7 +204,7 @@ def train_implicit_als(
     if negative:
         raise ValueError("implicit feedback must be non-negative")
     objective = _Objective(
-        "implicit", _weighted_loss, {"implicit_alpha": float(config.alpha)},
+        "implicit", _implicit_loss, {"implicit_alpha": float(config.alpha)},
         ImplicitModel,
     )
     return _train(views, config, objective)

@@ -185,7 +185,9 @@ class SubspaceState:
       loop subtracts the block's d-wide dots (``p`` becomes the
       complement ``p̄``), after it adds back the dots of the updated
       block.  A block visit therefore costs two ``nnz·d`` dots instead
-      of the ``nnz·(k−d)`` complement rebuilt per side.
+      of the ``nnz·(k−d)`` complement rebuilt per side.  After an
+      iteration's last restore ``p`` is current, and the implicit loss
+      reads it instead of recomputing ``nnz·k`` dots.
     * ``perm`` — ``R_cols`` entry ``e`` is ``R_rows`` entry ``perm[e]``,
       so ``p̄[perm]`` hands the same complement to the Y half-sweep.
 

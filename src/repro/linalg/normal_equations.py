@@ -63,7 +63,7 @@ from repro.knobs import Knob, at_least
 from repro.linalg.solvers import _TRSM_BLOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
-from repro.sparse.csr import CSRMatrix, DegreeBin
+from repro.sparse.csr import BinLanes, CSRMatrix
 
 __all__ = [
     "assemble_gram",
@@ -178,21 +178,25 @@ def tile_bytes_bound(
     A tile holds at most ``tile_nnz`` gathered non-zeros and at most
     ``tile_nnz / max(k, width)`` rows, so the dominant terms are the
     ``(rows, width, k)`` gather and the ``(rows, k, k)`` GEMM output,
-    both bounded by ``tile_nnz · k`` elements; index/mask arrays add
-    ``tile_nnz`` int64/int64/bool entries, and the fused RHS
+    both bounded by ``tile_nnz · k`` elements, and the fused RHS adds
     ``tile_nnz`` float64 coefficients plus a ``(rows, k)`` float64
     block.  The weighted (implicit) kernel adds one more
     ``tile_nnz · k`` operand (the weight-scaled gather) and the gathered
-    weights themselves.  Tests
-    assert the measured ``assembly.peak_tile_bytes`` gauge against this
-    formula.
+    weights themselves.  The gather and the weight-scaled gather live
+    in scratch reused by every tile of one call, sized for its largest
+    tile.  The lane indices are not tile scratch: they belong to the
+    matrix's persistent plan (:meth:`CSRMatrix.lane_plan`, 8 bytes per
+    padded lane at int32).  The ``tile_nnz`` int64/int64/bool index
+    terms below cover the transient intp copies ``np.take`` makes of a
+    tile's int32 lanes.  Tests assert the measured
+    ``assembly.peak_tile_bytes`` gauge against this formula.
     """
     tile_nnz = TILE_NNZ.check(tile_nnz)
     cs = np.dtype(ASSEMBLY_DTYPE.check(compute_dtype)).itemsize
     gather = tile_nnz * k * cs  # G
     gemm_out = tile_nnz * k * cs  # (rows, k, k) with rows <= tile_nnz / k
-    indices = tile_nnz * 16  # position + column gather, int64 each
-    mask = tile_nnz  # bool padding mask
+    indices = tile_nnz * 16  # np.take's intp copies of the lanes
+    mask = tile_nnz  # one byte of slack per lane
     rhs = tile_nnz * 16  # float64 RHS coefficients + (rows, k) RHS block
     bound = gather + gemm_out + indices + mask + rhs
     if weighted:
@@ -330,24 +334,24 @@ def binned_normal_equations(
     k = Yz.shape[1]
     w_all = _check_nnz_vector(nnz_weight, R.nnz, "nnz_weight")
     rvals = _rhs_values(R, rhs_nnz_value)
-    wc = None if w_all is None else w_all.astype(cdtype)
+    wc = None if w_all is None else _with_zero(w_all, cdtype)
     s1_name, _ = _span_names(w_all is not None)
     with span(
         s1_name, stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
     ) as s1:
-        # Bin building and the output allocation belong to S1's measured
-        # cost (the bins are cached on R, so sweeps after the first get
-        # them for free).
-        bins = R.degree_bins(growth)
-        s1.set(bins=len(bins))
+        # Building the lane plan and the output allocation belong to
+        # S1's measured cost (the plan is cached on R, so sweeps after
+        # the first get it for free).
+        plan = R.lane_plan(growth)
+        s1.set(bins=len(plan))
         A = np.zeros((m, k, k), dtype=np.float64)
         b = np.zeros((m, k), dtype=np.float64)
         stats = _gram_tiles(
-            R, Yz, bins, [b_.rows for b_ in bins], A, b, rvals, wc, tile
+            Yz, plan, [lanes.bin.rows for lanes in plan], A, b, rvals, wc, tile
         )
         d = _diag(k)
         A[:, d, d] += lam
-    _record_tiles(len(bins), *stats, weighted=w_all is not None)
+    _record_tiles(len(plan), *stats, weighted=w_all is not None)
     return A, b
 
 
@@ -357,7 +361,9 @@ def _compute_operand(
     """``Y`` in the resolved compute dtype, with one zero row appended.
 
     Padded gather lanes read that row (:func:`_gather`), so no padded
-    block needs a mask pass.
+    block needs a mask pass.  ``np.take`` copies this contiguous basis
+    row by row into the reused gather scratch, about twice as fast as
+    fancy indexing into a fresh block.
     """
     cdtype = np.dtype(ASSEMBLY_DTYPE.resolve(compute_dtype))
     Y = np.asarray(Y)
@@ -369,43 +375,43 @@ def _compute_operand(
 
 
 def _gather(
-    R: CSRMatrix,
     Yz: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    offs: np.ndarray,
+    entries: np.ndarray,
+    cols: np.ndarray,
     rvals: np.ndarray,
     wc: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """Gather lanes ``offs`` of the rows at ``starts`` (``lengths`` long).
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gather one tile of a bin's cached lanes (``entries``/``cols``).
 
-    Returns ``(G, rt, wt, nbytes)``: the ``(rows, lanes, k)`` block of
-    ``Yz``, the lanes' RHS coefficients and (with ``wc``) weights, and
-    the scratch bytes held.  A lane past its row's end reads ``Yz``'s
-    zero row with a zero coefficient and weight, so it adds nothing to
-    ``GᵀG``, ``G Gᵀ`` or ``Gᵀr``.  Degrees ascend within a bin, so the
-    first row tells whether any lane pads.
+    Returns ``(G, rt, wt)``: the ``(rows, lanes, k)`` block of ``Yz``
+    (written into ``out`` when given), the lanes' RHS coefficients and
+    (with ``wc``) weights.  The lane indices come straight from the
+    matrix's plan (:meth:`CSRMatrix.lane_plan`), built once per matrix,
+    so a visit computes no index, mask or pad write.  A padded lane
+    holds the sentinels, which read ``Yz``'s zero row and the trailing
+    zero of ``rvals``/``wc`` (:func:`_with_zero`), so it adds nothing to
+    ``GᵀG``, ``G Gᵀ`` or ``Gᵀr``.
     """
-    idx = np.minimum(starts[:, None] + offs[None, :], R.nnz - 1)
-    cols = R.col_idx[idx]
-    rt = rvals[idx]
-    wt = None if wc is None else wc[idx]
-    nbytes = idx.nbytes + cols.nbytes
-    if offs[-1] >= lengths[0]:
-        pad = offs[None, :] >= lengths[:, None]
-        cols[pad] = Yz.shape[0] - 1
-        rt[pad] = 0.0
-        if wt is not None:
-            wt[pad] = 0.0
-        nbytes += pad.nbytes
-    G = Yz[cols]
-    return G, rt, wt, nbytes + G.nbytes
+    G = np.take(Yz, cols, axis=0, out=out, mode="clip")
+    rt = np.take(rvals, entries, mode="clip")
+    wt = None if wc is None else np.take(wc, entries, mode="clip")
+    return G, rt, wt
+
+
+def _with_zero(v: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``v`` as ``dtype`` with one trailing zero: what a padded lane reads."""
+    out = np.empty(v.size + 1, dtype=dtype)
+    out[:-1] = v
+    out[-1] = 0
+    return out
 
 
 def _rhs_values(R: CSRMatrix, rhs_nnz_value: np.ndarray | None) -> np.ndarray:
-    """Float64 RHS coefficients: the stored values unless overridden."""
+    """Float64 RHS coefficients (the stored values unless overridden),
+    with the padded lanes' trailing zero."""
     rv = _check_nnz_vector(rhs_nnz_value, R.nnz, "rhs_nnz_value")
-    return R.value.astype(np.float64) if rv is None else rv
+    return _with_zero(R.value if rv is None else rv, np.float64)
 
 
 def _record_tiles(
@@ -422,9 +428,8 @@ def _record_tiles(
 
 
 def _gram_tiles(
-    R: CSRMatrix,
     Yz: np.ndarray,
-    bins: list[DegreeBin],
+    plan: list[BinLanes],
     outs: list[np.ndarray],
     A: np.ndarray,
     b: np.ndarray,
@@ -434,18 +439,32 @@ def _gram_tiles(
 ) -> tuple[int, int]:
     """Reduce each bin's rows tile by tile into ``A[outs[i]]``/``b[outs[i]]``.
 
-    ``outs[i]`` names the output slot of every row of ``bins[i]`` (the
-    row index itself for a whole-matrix assembly).  ``Yz`` is the
-    basis with its zero row (:func:`_compute_operand`).  Returns the peak
+    ``outs[i]`` names the output slot of every row of ``plan[i]``'s bin
+    (the row index itself for a whole-matrix assembly).  ``Yz`` is the
+    basis with its zero row (:func:`_compute_operand`).  Every tile
+    gathers into one scratch block (and, weighted, scales into a
+    second), sized for the call's largest tile.  Returns the peak
     per-tile scratch in bytes and the number of tiles.
     """
     k = Yz.shape[1]
+    # (rows per tile, lanes per segment) of each bin: long-tail rows
+    # wider than the budget reduce in segments, one row per tile.
+    shapes = [
+        (max(1, tile // max(lanes.bin.width, k)), min(lanes.bin.width, tile))
+        for lanes in plan
+    ]
+    scratch = k * max(
+        (min(per, lanes.bin.rows.size) * seg
+         for (per, seg), lanes in zip(shapes, plan)),
+        default=0,
+    )
+    gbuf = np.empty(scratch, dtype=Yz.dtype)
+    wbuf = None if wc is None else np.empty(scratch, dtype=Yz.dtype)
     peak_tile_bytes = 0
     tiles = 0
-    for b_, out in zip(bins, outs):
+    for lanes, out, (rows_per_tile, seg) in zip(plan, outs, shapes):
+        b_ = lanes.bin
         width = b_.width
-        rows_per_tile = max(1, tile // max(width, k))
-        seg = min(width, tile)  # long-tail rows reduce in segments
         # No stage= attr here: the enclosing als.s1.gram span owns the
         # S1 attribution; bin spans only decompose it.
         with span(
@@ -456,24 +475,28 @@ def _gram_tiles(
         ):
             for r0 in range(0, b_.rows.size, rows_per_tile):
                 r1 = min(r0 + rows_per_tile, b_.rows.size)
-                starts_t = b_.starts[r0:r1]
-                len_t = b_.lengths[r0:r1]
                 acc = None
                 bacc = None
                 for w0 in range(0, width, seg):
-                    offs = np.arange(w0, min(w0 + seg, width), dtype=np.int64)
-                    G, rt, wt, tile_bytes = _gather(
-                        R, Yz, starts_t, len_t, offs, rvals, wc
+                    w1 = min(w0 + seg, width)
+                    shape = (r1 - r0, w1 - w0, k)
+                    size = shape[0] * shape[1] * k
+                    G, rt, wt = _gather(
+                        Yz, lanes.entries[r0:r1, w0:w1],
+                        lanes.cols[r0:r1, w0:w1], rvals, wc,
+                        out=gbuf[:size].reshape(shape),
                     )
                     # Fused S2: the RHS reduces the same gathered block
                     # (float64 arithmetic even on a float32 G).
                     part = np.einsum("rw,rwk->rk", rt, G)
-                    tile_bytes += rt.nbytes + part.nbytes
+                    tile_bytes = G.nbytes + rt.nbytes + part.nbytes
                     if wt is None:
                         contrib = G.transpose(0, 2, 1) @ G
                     else:
                         # Gᵀ diag(w) G: scale one operand by the weights.
-                        Gw = G * wt[:, :, None]
+                        Gw = np.multiply(
+                            G, wt[:, :, None], out=wbuf[:size].reshape(shape)
+                        )
                         contrib = Gw.transpose(0, 2, 1) @ G
                         tile_bytes += Gw.nbytes + wt.nbytes
                     tile_bytes += contrib.nbytes
@@ -575,27 +598,27 @@ def binned_solve_groups(
     with span(
         "als.s1.gram", stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
     ) as s1:
-        bins = R.degree_bins(DEFAULT_BIN_GROWTH)
-        s1.set(bins=len(bins))
-        by_width: dict[int, list[DegreeBin]] = {}
-        for b_ in bins:
-            by_width.setdefault(dual_width(b_.width, k), []).append(b_)
+        plan = R.lane_plan(DEFAULT_BIN_GROWTH)
+        s1.set(bins=len(plan))
+        by_width: dict[int, list[BinLanes]] = {}
+        for lanes in plan:
+            by_width.setdefault(dual_width(lanes.bin.width, k), []).append(lanes)
         for width, group in sorted(by_width.items()):
-            rows = np.concatenate([b_.rows for b_ in group])
+            rows = np.concatenate([lanes.bin.rows for lanes in group])
             size = width or k
             A = np.zeros((rows.size, size, size), dtype=np.float64)
             b = np.zeros((rows.size, size), dtype=np.float64)
-            edges = np.cumsum([0] + [b_.rows.size for b_ in group])
+            edges = np.cumsum([0] + [lanes.bin.rows.size for lanes in group])
             spans = list(zip(edges[:-1], edges[1:]))
             if width:
                 parts = tuple(
-                    (slice(lo, hi), _dual_block(R, Yz, b_, rvals, A[lo:hi], b[lo:hi]))
-                    for b_, (lo, hi) in zip(group, spans)
+                    (slice(lo, hi), _dual_block(Yz, lanes, rvals, A[lo:hi], b[lo:hi]))
+                    for lanes, (lo, hi) in zip(group, spans)
                 )
             else:
                 outs = [np.arange(lo, hi) for lo, hi in spans]
-                _record_tiles(len(bins), *_gram_tiles(
-                    R, Yz, group, outs, A, b, rvals, None, tile
+                _record_tiles(len(plan), *_gram_tiles(
+                    Yz, group, outs, A, b, rvals, None, tile
                 ))
                 parts = ()
             diag = _diag(size)
@@ -607,9 +630,8 @@ def binned_solve_groups(
 
 
 def _dual_block(
-    R: CSRMatrix,
     Yz: np.ndarray,
-    b_: DegreeBin,
+    lanes: BinLanes,
     rvals: np.ndarray,
     K: np.ndarray,
     r: np.ndarray,
@@ -617,11 +639,11 @@ def _dual_block(
     """Write one bin's ``G Gᵀ`` and ratings into ``K``/``r``; return ``G``.
 
     ``G`` is the bin's whole ``(rows, width, k)`` gather — fewer than
-    ``k`` lanes per row, so no segmenting — kept for ``x = Gᵀα``.
+    ``k`` lanes per row, so no segmenting — kept for ``x = Gᵀα``, so it
+    is a fresh block rather than reused scratch.
     """
-    width = b_.width
-    offs = np.arange(width, dtype=np.int64)
-    G, rt, _, _ = _gather(R, Yz, b_.starts, b_.lengths, offs, rvals)
+    width = lanes.bin.width
+    G, rt, _ = _gather(Yz, lanes.entries, lanes.cols, rvals)
     K[:, :width, :width] = G @ G.transpose(0, 2, 1)
     r[:, :width] = rt
     return G

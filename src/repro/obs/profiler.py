@@ -185,8 +185,8 @@ def render_report(report: ProfileReport, top: int = 10) -> str:
         last = report.model.history[-1]
         if last.train_rmse is not None:
             lines.append(f"final train RMSE: {last.train_rmse:.4f}")
-        else:  # implicit: the loss is the confidence-weighted one
-            lines.append(f"final weighted loss: {last.loss:.4f}")
+        else:  # implicit: the exact implicit objective
+            lines.append(f"final implicit objective: {last.loss:.4f}")
     if report.sim_run is not None:
         lines.append(
             f"simulated on {report.device.name}: {report.sim_run.seconds:.3f} s "

@@ -8,14 +8,14 @@ and records them into the metrics registry:
 
 * ``proc.rss_bytes`` (gauge) — current resident set,
 * ``proc.peak_rss_bytes`` (gauge) — the kernel's high-water mark
-  (``ru_maxrss``), which catches spikes between samples,
+  (``VmHWM``, else ``ru_maxrss``), which catches spikes between samples,
 * ``proc.cpu_seconds`` (gauge) — user+system CPU time,
 * ``proc.samples`` (counter), and
 * ``proc.rss.sampled_bytes`` (summary histogram) — the sampled RSS
   distribution over the run (min/mean/max).
 
-Readings are stdlib-only: ``/proc/self/statm`` on Linux, falling back
-to ``resource.getrusage`` where ``/proc`` is absent; on platforms with
+Readings are stdlib-only: ``/proc/self/statm`` and ``/proc/self/status``
+on Linux, falling back to ``resource.getrusage`` where ``/proc`` is absent; on platforms with
 neither, RSS gauges are simply not emitted.  The sampler writes
 directly to its registry (not through the enable-gated helpers) —
 starting one is already the explicit opt-in.
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _STATM_PATH = "/proc/self/statm"
+_STATUS_PATH = "/proc/self/status"
 try:
     _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
 except (AttributeError, ValueError, OSError):  # pragma: no cover
@@ -58,11 +59,22 @@ def rss_bytes() -> int | None:
 
 
 def peak_rss_bytes() -> int | None:
-    """Peak resident set size in bytes (``ru_maxrss``; ``None`` unknown).
+    """Peak resident set size of this process in bytes (``None`` unknown).
 
-    Linux reports ``ru_maxrss`` in kilobytes, macOS in bytes — the one
-    platform quirk this module has to know about.
+    Reads ``VmHWM`` from ``/proc/self/status``.  That high-water mark
+    belongs to the address space, which ``exec`` replaces, so a child
+    process reports its own peak.  ``ru_maxrss``, the fallback where
+    ``/proc`` is absent, survives ``exec`` on Linux: a child launched by
+    a larger parent reads the parent's RSS at fork time as its peak.
+    Linux reports ``ru_maxrss`` in kilobytes, macOS in bytes.
     """
+    try:
+        with open(_STATUS_PATH, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, IndexError, ValueError):
+        pass
     if _resource is None:  # pragma: no cover - non-Unix platforms
         return None
     peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss

@@ -13,7 +13,14 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix
 
-__all__ = ["CSRMatrix", "DegreeBin", "RowShard", "build_degree_bins"]
+__all__ = [
+    "BinLanes",
+    "CSRMatrix",
+    "DegreeBin",
+    "RowShard",
+    "build_degree_bins",
+    "build_lane_plan",
+]
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,78 @@ class DegreeBin:
     def is_uniform(self) -> bool:
         """True when no padding is needed (all rows share the width)."""
         return bool(self.lengths.size) and int(self.lengths[0]) == self.width
+
+
+@dataclass(frozen=True)
+class BinLanes:
+    """One degree bin's padded gather lanes, built once per matrix.
+
+    Lane ``(r, j)`` is the ``j``-th stored entry of the bin's row ``r``:
+    ``entries`` holds its entry index and ``cols`` its column.  A lane
+    past its row's end holds the sentinels ``nnz`` and ``ncols``, which
+    index one trailing zero appended to every per-entry vector and to
+    the gathered basis, so a padded lane adds nothing to any reduction.
+    Both arrays are ``(rows, width)`` and read-only; they are int32 when
+    the sentinels and the lane count fit (8 bytes per lane), int64
+    otherwise.
+    """
+
+    bin: DegreeBin
+    entries: np.ndarray  # (rows, width) entry index, sentinel nnz
+    cols: np.ndarray  # (rows, width) column index, sentinel ncols
+
+    @property
+    def nbytes(self) -> int:
+        return self.entries.nbytes + self.cols.nbytes
+
+
+def build_lane_plan(
+    bins: tuple[DegreeBin, ...], col_idx: np.ndarray, ncols: int
+) -> tuple[BinLanes, ...]:
+    """The :class:`BinLanes` of ``bins`` over a matrix's ``col_idx``.
+
+    Every lane of every bin is computed in one vectorized pass, so a
+    one-shot matrix (a fold-in or a rating update) pays a fixed handful
+    of array operations for its plan rather than a handful per bin.  The
+    bins' lanes are views of one read-only block: a cache that lives as
+    long as its matrix is one allocation, not two per bin.
+    """
+    nnz = col_idx.size
+    counts = np.array([b.rows.size for b in bins], dtype=np.int64)
+    widths = np.array([b.width for b in bins], dtype=np.int64)
+    edges = np.zeros(len(bins) + 1, dtype=np.int64)
+    np.cumsum(counts * widths, out=edges[1:])
+    # A lane's entry index reaches at most nnz + width before the
+    # sentinel replaces it (the widest bin is the last), and lane
+    # offsets run to the lane count.
+    top = max(nnz + (bins[-1].width if bins else 0), ncols, int(edges[-1]))
+    dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
+    block = np.empty((2, int(edges[-1])), dtype=dtype)
+    if bins:
+        # Rows in bin order; row r's lanes are its start plus offsets
+        # 0..width-1, and those at or past its length are padding.
+        row_width = np.repeat(widths, counts)
+        first = (np.cumsum(row_width) - row_width).astype(dtype)
+        offs = np.arange(edges[-1], dtype=dtype) - np.repeat(first, row_width)
+        starts = np.concatenate([b.starts for b in bins]).astype(dtype)
+        lengths = np.concatenate([b.lengths for b in bins]).astype(dtype)
+        entries, cols = block
+        np.add(np.repeat(starts, row_width), offs, out=entries)
+        # mode="clip" reads a real column for the padded lanes, which
+        # the sentinel then overwrites.
+        cols[...] = np.take(col_idx, entries, mode="clip")
+        pad = offs >= np.repeat(lengths, row_width)
+        entries[pad] = nnz
+        cols[pad] = ncols
+    block.setflags(write=False)
+    return tuple(
+        BinLanes(
+            bin=b,
+            entries=block[0, lo:hi].reshape(b.rows.size, b.width),
+            cols=block[1, lo:hi].reshape(b.rows.size, b.width),
+        )
+        for b, lo, hi in zip(bins, edges[:-1], edges[1:])
+    )
 
 
 def build_degree_bins(
@@ -144,6 +223,7 @@ class CSRMatrix:
         "_row_lengths",
         "_expanded_rows",
         "_degree_bins",
+        "_lane_plans",
         "_occupied_sub",
         "_row_shards",
     )
@@ -182,6 +262,7 @@ class CSRMatrix:
         self._row_lengths: np.ndarray | None = None
         self._expanded_rows: np.ndarray | None = None
         self._degree_bins: dict[float, tuple[DegreeBin, ...]] = {}
+        self._lane_plans: dict[float, tuple[BinLanes, ...]] = {}
         self._occupied_sub: tuple[np.ndarray, "CSRMatrix"] | None = None
         self._row_shards: dict[int, tuple[RowShard, ...]] = {}
 
@@ -293,6 +374,26 @@ class CSRMatrix:
         result = build_degree_bins(self.row_ptr, self.row_lengths(), growth)
         self._degree_bins[key] = result
         return result
+
+    def lane_plan(self, growth: float = 1.25) -> tuple[BinLanes, ...]:
+        """The padded gather lanes of every degree bin (cached per ``growth``).
+
+        One :class:`BinLanes` per bin of :meth:`degree_bins`, in the same
+        order.  ``R`` never changes, so the binned assembly reads each
+        bin's entry and column indices from here on every sweep instead
+        of rebuilding them per tile.  Executor shards and resident
+        out-of-core shards are matrices of their own and get their own
+        plan; every row keeps its grid width, so the lanes of a row are
+        the same in any of them.
+        """
+        key = float(growth)
+        cached = self._lane_plans.get(key)
+        if cached is None:
+            cached = build_lane_plan(
+                self.degree_bins(growth), self.col_idx, self.ncols
+            )
+            self._lane_plans[key] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # row subsets (the sweep executor's sharding substrate)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resource import ResourceSampler, cpu_seconds, peak_rss_bytes, rss_bytes
 
@@ -31,6 +36,36 @@ class TestReaders:
             assert 1 << 20 < peak < 1 << 40
         if rss is not None and peak is not None:
             assert peak >= rss // 2
+
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="VmHWM needs /proc"
+    )
+    def test_child_reports_its_own_peak(self):
+        """A child's peak is its own, not its launcher's.
+
+        ``ru_maxrss`` survives ``exec`` on Linux, so a child launched by
+        a larger parent would read the parent's RSS as its peak.  The
+        parent holds 64 MB the child never touches, so the child's own
+        peak sits at least half of that below the parent's RSS.
+        """
+        extra = 64 << 20
+        ballast = np.ones(extra // 8)  # every page touched
+        parent = rss_bytes()
+        env = dict(os.environ)
+        root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (root, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.obs.resource import peak_rss_bytes; "
+             "print(peak_rss_bytes())"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        child = int(out.stdout)
+        assert ballast.sum() > 0
+        assert 0 < child < parent - extra // 2
 
 
 class TestSampler:
