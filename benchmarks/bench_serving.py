@@ -4,8 +4,8 @@
 Trains an ml-1m-shaped model, stands the service up, and measures:
 micro-batched vs unbatched closed-loop throughput and latency
 percentiles, warm vs cold result-cache throughput, an open-loop Poisson
-arrival run at a fixed offered rate, and bitwise fold-in parity with
-the trainers disarmed.  ``BENCH_9.json`` at the repo root records the
+arrival run at a fixed offered rate, and bitwise fold-in and
+rating-update parity with the trainers disarmed.  ``BENCH_9.json`` at the repo root records the
 committed numbers (two records: ``serving_service`` gated on
 ``batching_speedup`` and ``serving_throughput`` gated on absolute
 ``serve_throughput``).
@@ -113,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"OK: batching {result['batching_speedup']:.2f}x >= {bar:.2f}, "
             f"cache {result['cache_speedup']:.2f}x "
-            f"(hit rate {result['cache_hit_rate']:.0%}), fold-in bitwise "
-            f"with no retrain"
+            f"(hit rate {result['cache_hit_rate']:.0%}), fold-in and update "
+            f"bitwise with no retrain"
         )
     return 0
 

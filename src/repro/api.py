@@ -38,22 +38,15 @@ _ALGORITHMS = {"als": train_als, "als-wr": train_als_wr, "implicit": train_impli
 _CONFIGS = {"als": ALSConfig, "als-wr": ALSConfig, "implicit": ImplicitConfig}
 
 
-def _append_rows(base: CSRMatrix, new: CSRMatrix) -> CSRMatrix:
-    """Stack ``new`` under ``base`` in O(new) pointer arithmetic.
-
-    CSR is row-major, so appending rows is three concatenations — no
-    re-sort, no per-entry work on the existing matrix.
-    """
-    if base.ncols != new.ncols:
-        raise ValueError(
-            f"column mismatch: {base.ncols} vs {new.ncols}"
-        )
-    return CSRMatrix(
-        (base.nrows + new.nrows, base.ncols),
-        np.concatenate([base.value, new.value]),
-        np.concatenate([base.col_idx, new.col_idx]),
-        np.concatenate([base.row_ptr, base.nnz + new.row_ptr[1:]]),
-    )
+def _check_finite(path, name: str, F: np.ndarray) -> None:
+    """Raise naming the first row of ``F`` holding a NaN or an infinity."""
+    for a in range(0, F.shape[0], _SAVE_CHUNK_ROWS):
+        bad = ~np.isfinite(F[a:a + _SAVE_CHUNK_ROWS]).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"{path}: non-finite value in factor {name}, "
+                f"row {a + int(np.argmax(bad))}"
+            )
 
 
 class Recommender:
@@ -94,6 +87,8 @@ class Recommender:
         self._model: ALSModel | None = None
         self._train_csr: CSRMatrix | ShardedCSR | None = None
         self._engine: TopNEngine | None = None
+        # (Y, YᵀY) of the implicit fold-in: one Gramian per item basis.
+        self._gram: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # training
@@ -116,6 +111,7 @@ class Recommender:
                 self._model = _ALGORITHMS[self.algorithm](csr, self.config)
                 self._train_csr = csr
             self._engine = None  # factors changed; rebuild lazily
+            self._gram = None
         return self
 
     @property
@@ -203,6 +199,22 @@ class Recommender:
     # ------------------------------------------------------------------
     # incremental fold-in / online updates
     # ------------------------------------------------------------------
+    def _fold_in(self, R_new: CSRMatrix, basis: np.ndarray) -> np.ndarray:
+        """:func:`fold_in_factors` with this recommender's knobs; an
+        implicit fold-in against the item basis reuses its Gramian."""
+        gram = None
+        if self.algorithm == "implicit" and basis is self.model.Y:
+            if self._gram is None or self._gram[0] is not basis:
+                # The expression implicit_half_sweep uses, so fold-in
+                # stays bitwise equal to a fresh half-sweep.
+                Y = np.ascontiguousarray(basis, dtype=np.float64)
+                self._gram = (basis, Y.T @ Y)
+            gram = self._gram[1]
+        return fold_in_factors(
+            R_new, basis, self.config.lam, self.algorithm,
+            getattr(self.config, "alpha", None), gram=gram,
+        )
+
     def _foldin_train_matrix(self) -> CSRMatrix | None:
         if isinstance(self._train_csr, ShardedCSR):
             raise ValueError(
@@ -229,10 +241,7 @@ class Recommender:
         n_items = int(model.Y.shape[0])
         R_new = as_new_rows_csr(ratings, n_items)
         with span("recommender.fold_in_users", rows=R_new.nrows, nnz=R_new.nnz):
-            X_new = fold_in_factors(
-                R_new, model.Y, self.config.lam, self.algorithm,
-                getattr(self.config, "alpha", None),
-            )
+            X_new = self._fold_in(R_new, model.Y)
             m_old = int(model.X.shape[0])
             model.X = np.concatenate(
                 [np.asarray(model.X, dtype=np.float64), X_new], axis=0
@@ -246,7 +255,7 @@ class Recommender:
                     np.zeros(0, dtype=np.int64),
                     np.zeros(m_old + 1, dtype=np.int64),
                 )
-            self._train_csr = _append_rows(train, R_new)
+            self._train_csr = train.append_rows(R_new)
             self._engine = None  # row count changed; rebuild lazily
         return np.arange(m_old, m_old + R_new.nrows)
 
@@ -264,10 +273,7 @@ class Recommender:
         m_users = int(model.X.shape[0])
         R_new = as_new_rows_csr(ratings, m_users)
         with span("recommender.fold_in_items", rows=R_new.nrows, nnz=R_new.nnz):
-            Y_new = fold_in_factors(
-                R_new, model.X, self.config.lam, self.algorithm,
-                getattr(self.config, "alpha", None),
-            )
+            Y_new = self._fold_in(R_new, model.X)
             n_old = int(model.Y.shape[0])
             model.Y = np.concatenate(
                 [np.asarray(model.Y, dtype=np.float64), Y_new], axis=0
@@ -282,6 +288,7 @@ class Recommender:
                     (train.nrows, n_old + R_new.nrows), rows, cols, vals
                 ))
             self._engine = None
+            self._gram = None
         return np.arange(n_old, n_old + R_new.nrows)
 
     def update_ratings(self, updates: COOMatrix) -> np.ndarray:
@@ -314,17 +321,9 @@ class Recommender:
                 "fold_in_items for new entities"
             )
         with span("recommender.update_ratings", nnz=updates.nnz):
-            rows = np.concatenate([train.expanded_rows(), updates.row])
-            cols = np.concatenate([train.col_idx, updates.col])
-            vals = np.concatenate([train.value, updates.value])
-            merged = CSRMatrix.from_coo(
-                COOMatrix((train.nrows, train.ncols), rows, cols, vals)
-            )
-            affected = np.unique(updates.row.astype(np.int64))
-            X_rows = fold_in_factors(
-                merged.take_rows(affected), model.Y, self.config.lam,
-                self.algorithm, getattr(self.config, "alpha", None),
-            )
+            affected, rows = train.merged_rows(updates)
+            merged = train.replace_rows(affected, rows)
+            X_rows = self._fold_in(rows, model.Y)
             X = np.array(model.X, dtype=np.float64, copy=True)
             X[affected] = X_rows
             model.X = X
@@ -397,8 +396,11 @@ class Recommender:
         (a zip member cannot be mapped).
 
         Raises :class:`ValueError` — not a bare ``KeyError`` — when the
-        file is missing envelope entries, names an unknown algorithm, or
-        holds factors whose shapes disagree with the stored config.
+        file is missing envelope entries, names an unknown algorithm,
+        holds factors whose shapes disagree with the stored config, or
+        holds a non-finite factor value (the message names the factor
+        and the row).  The check reads the factors in row chunks, so a
+        memory-mapped load pages them through once without holding them.
         """
         p = Path(path)
         if p.is_dir():
@@ -450,6 +452,8 @@ class Recommender:
                 f"{path}: factor shapes {X.shape}/{Y.shape} do not match "
                 f"the stored config (k={k})"
             )
+        for name, F in (("X", X), ("Y", Y)):
+            _check_finite(path, name, F)
         # Files written before history persistence lack the key; they
         # load with an empty history, as before.
         history = meta.get("history", [])

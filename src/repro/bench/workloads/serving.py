@@ -2,7 +2,8 @@
 
 The benchmark body behind ``benchmarks/bench_serving.py``: batched vs
 unbatched closed loops, warm vs cold cache, open-loop Poisson
-percentiles, and bitwise fold-in parity with the trainers disarmed.
+percentiles, and bitwise fold-in and rating-update parity with the
+trainers disarmed.
 ``BENCH_9.json`` records the committed numbers; returns **two** records
 — ``serving_service`` (gated on ``batching_speedup``) plus a
 ``serving_throughput`` record explicitly gated on absolute
@@ -135,14 +136,17 @@ def _measure_open_loop(rec, users, ns) -> dict:
     return report
 
 
-def _check_foldin(ratings, ns) -> tuple[dict, bool]:
-    """Bitwise fold-in parity per algorithm, with the trainers disarmed.
+def _check_writes(ratings, ns) -> tuple[dict, dict, bool]:
+    """Bitwise write parity per algorithm, with the trainers disarmed.
 
     After ``fold_in_users`` the recommender's training matrix *is* the
     augmented matrix, so the reference is a fresh serial float64
     half-sweep over it; the folded rows must equal its tail rows bit for
-    bit.  The trainer registry is swapped for tripwires during fold-in:
-    any retrain attempt raises.
+    bit.  An ``update_ratings`` (restated and new ratings of existing
+    users) follows, and the affected rows must equal the same rows of a
+    fresh half-sweep over the spliced training matrix.  The trainer
+    registry is swapped for tripwires during both writes: any retrain
+    attempt raises.  Returns ``(foldin, update, no_retrain)``.
     """
     import repro.api as api_mod
     from repro.core.alswr import weighted_half_sweep
@@ -157,8 +161,23 @@ def _check_foldin(ratings, ns) -> tuple[dict, bool]:
     cols = rng.integers(0, n, rows.size)
     vals = rng.integers(1, 6, rows.size).astype(np.float32)
     new_users = COOMatrix((h, n), rows, cols, vals)
+    # Four ratings each for six existing users and one new one: some
+    # restate a stored cell, the others add one.
+    users = np.repeat(np.append(rng.choice(m, 6, replace=False), m), 4)
+    updates = COOMatrix(
+        (m + h, n), users, rng.integers(0, n, users.size),
+        rng.integers(1, 6, users.size).astype(np.float32),
+    )
 
-    parity: dict = {}
+    def reference(algorithm, R, Y):
+        if algorithm == "als":
+            return fast_half_sweep(R, Y, LAM)
+        if algorithm == "als-wr":
+            return weighted_half_sweep(R, Y, LAM, None)
+        return implicit_half_sweep(R, Y, LAM, ALPHA)
+
+    foldin: dict = {}
+    update: dict = {}
     no_retrain = True
     for algorithm in ALGORITHMS:
         rec = _train(
@@ -173,25 +192,26 @@ def _check_foldin(ratings, ns) -> tuple[dict, bool]:
         api_mod._ALGORITHMS = {name: _tripwire for name in armed}
         try:
             ids = rec.fold_in_users(new_users)
+            folded = np.asarray(rec.model.X)[ids]
+            ref = reference(algorithm, rec._train_csr, np.asarray(rec.model.Y))
+            foldin[algorithm] = bool(np.array_equal(folded, ref[ids]))
+            affected = rec.update_ratings(updates)
+            ref = reference(algorithm, rec._train_csr, np.asarray(rec.model.Y))
+            update[algorithm] = bool(np.array_equal(
+                np.asarray(rec.model.X)[affected], ref[affected]
+            ))
         except AssertionError:
             no_retrain = False
-            parity[algorithm] = False
-            continue
+            foldin.setdefault(algorithm, False)
+            update[algorithm] = False
         finally:
             api_mod._ALGORITHMS = armed
-        aug = rec._train_csr
-        Y = np.asarray(rec.model.Y)
-        if algorithm == "als":
-            ref = fast_half_sweep(aug, Y, LAM)
-        elif algorithm == "als-wr":
-            ref = weighted_half_sweep(aug, Y, LAM, None)
-        else:
-            ref = implicit_half_sweep(aug, Y, LAM, ALPHA)
-        parity[algorithm] = bool(
-            np.array_equal(np.asarray(rec.model.X)[ids], ref[ids])
-        )
-    print(f"  fold-in bitwise: {parity} (no retrain: {no_retrain})", flush=True)
-    return parity, no_retrain
+    print(
+        f"  fold-in bitwise: {foldin}, update bitwise: {update} "
+        f"(no retrain: {no_retrain})",
+        flush=True,
+    )
+    return foldin, update, no_retrain
 
 
 def run_benchmark(
@@ -232,7 +252,7 @@ def run_benchmark(
 
     check_spec = MOVIELENS1M.scaled(ns.check_scale)
     check_ratings = generate_ratings(check_spec, seed=ns.seed)
-    foldin_bitwise, no_retrain = _check_foldin(check_ratings, ns)
+    foldin_bitwise, update_bitwise, no_retrain = _check_writes(check_ratings, ns)
 
     batched_lat = batching["batched"]["latency"]
     shape = {
@@ -265,6 +285,7 @@ def run_benchmark(
         "serve_p95_latency": batched_lat["p95"],
         "serve_p99_latency": batched_lat["p99"],
         "foldin_bitwise": foldin_bitwise,
+        "update_bitwise": update_bitwise,
         "foldin_no_retrain": no_retrain,
     }
     # A second, explicitly-keyed record gates absolute served throughput
@@ -321,7 +342,8 @@ def run_cell(quick: bool = True, check: bool = True, **overrides) -> list[dict]:
 
 def check_record(records: dict | list, params: dict) -> list[str]:
     """The ``--check`` bars: batching speedup (1.5 full / 1.2 quick),
-    bitwise no-retrain fold-in, non-zero throughput, zero loop errors."""
+    bitwise no-retrain fold-in and rating update, non-zero throughput,
+    zero loop errors."""
     result = records[0] if isinstance(records, list) else records
     bar = 1.2 if params.get("quick", True) else 1.5
     failures = []
@@ -336,8 +358,14 @@ def check_record(records: dict | list, params: dict) -> list[str]:
                 f"{alg}: folded-in factors are not bitwise-equal to a "
                 f"fresh augmented-matrix half-sweep"
             )
+    for alg, ok in result["update_bitwise"].items():
+        if not ok:
+            failures.append(
+                f"{alg}: updated factors are not bitwise-equal to a fresh "
+                f"half-sweep over the spliced training matrix"
+            )
     if not result["foldin_no_retrain"]:
-        failures.append("fold_in_users triggered a trainer call")
+        failures.append("a fold-in or rating update triggered a trainer call")
     for label in ("batched", "unbatched"):
         if result["batching"][label]["throughput"] <= 0:
             failures.append(f"{label} closed loop served nothing")

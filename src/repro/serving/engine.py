@@ -53,7 +53,7 @@ import numpy as np
 from repro.knobs import Knob, at_least
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, splice_rows
 
 __all__ = [
     "PAD_ITEM",
@@ -275,6 +275,84 @@ class TopNEngine:
     def from_model(cls, model, **kwargs) -> "TopNEngine":
         """Engine over a trained :class:`~repro.core.als.ALSModel`."""
         return cls(model.X, model.Y, **kwargs)
+
+    def derive(
+        self,
+        X_rows: np.ndarray,
+        rows: np.ndarray | None = None,
+        exclude: CSRMatrix | None = None,
+    ) -> "TopNEngine":
+        """A new engine with some user rows changed; this one is untouched.
+
+        ``rows=None`` appends ``X_rows`` as new users (a fold-in);
+        otherwise ``X_rows[i]`` replaces user ``rows[i]`` (a rating
+        update; ``rows`` ascending).  The configuration and the cast
+        ``Y`` are shared, and only the given rows are cast and checked
+        for finiteness.  ``exclude`` is the exclusion matrix after the
+        change; it must equal the one whose keys this engine caches
+        except in the changed rows.  Those keys are extended (a fold-in's
+        keys exceed every existing key) or spliced rather than rebuilt,
+        unless a fold-in takes the key space past int32, where they are
+        built afresh.  The result holds what a fresh engine over the
+        changed factors, with ``exclude`` attached, would hold.
+        """
+        X_rows = np.ascontiguousarray(X_rows, dtype=self.dtype)
+        if X_rows.ndim != 2 or X_rows.shape[1] != self._X.shape[1]:
+            raise ValueError("X_rows must be (rows, k) with the engine's k")
+        bad = ~np.isfinite(X_rows).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            row = self.n_users + i if rows is None else int(rows[i])
+            raise ValueError(f"non-finite value in factor X, row {row}")
+        engine = object.__new__(type(self))
+        engine.tile_bytes = self.tile_bytes
+        engine.dtype_name, engine.dtype = self.dtype_name, self.dtype
+        engine.user_block = self.user_block
+        engine.workers = self.workers
+        engine.peak_tile_bytes = 0
+        engine._Y = self._Y
+        if rows is None:
+            engine._X = np.concatenate([self._X, X_rows])
+        else:
+            engine._X = self._X.copy()
+            engine._X[rows] = X_rows
+        engine._excl_cache = None
+        if isinstance(exclude, CSRMatrix):
+            keys = self._derived_keys(exclude, rows)
+            if keys is None:
+                engine._exclusion_keys(exclude)
+            else:
+                engine._excl_cache = (exclude, keys, self._excl_cache[2])
+        return engine
+
+    def _derived_keys(
+        self, exclude: CSRMatrix, rows: np.ndarray | None
+    ) -> np.ndarray | None:
+        """The exclusion keys of ``exclude`` from this engine's cached
+        keys (see :meth:`derive`), or ``None`` when they must be built."""
+        if self._excl_cache is None:
+            return None
+        old, keys, kd = self._excl_cache
+        n = kd(self.n_items)
+        if rows is None:
+            if kd is np.int32 and exclude.nrows * self.n_items >= 2**31:
+                return None
+            first = np.arange(old.nrows, exclude.nrows, dtype=kd)
+            lengths = np.diff(exclude.row_ptr[old.nrows:])
+            new = np.repeat(first, lengths) * n
+            new += exclude.col_idx[old.nnz:].astype(kd)
+        else:
+            sub = exclude.take_rows(rows)
+            new = np.repeat(np.asarray(rows).astype(kd), sub.row_lengths()) * n
+            new += sub.col_idx.astype(kd)
+        if new.size > 1 and np.any(new[:-1] >= new[1:]):
+            new.sort()  # unsorted columns within a row, as at build
+        if rows is None:
+            out = np.concatenate([keys, new])
+        else:
+            out = splice_rows(keys, old.row_ptr, rows, new, sub.row_ptr)
+        out.setflags(write=False)
+        return out
 
     @property
     def n_items(self) -> int:

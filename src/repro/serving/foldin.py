@@ -98,6 +98,7 @@ def fold_in_factors(
     assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
+    gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the new rows' k×k systems against a fixed factor basis.
 
@@ -106,6 +107,10 @@ def fold_in_factors(
     fixed factor matrix (``Y`` resp. ``X``).  Returns the ``(h, k)``
     float64 factors; empty rows come back zero, matching a fresh
     half-sweep with no warm start.
+
+    ``gram`` is an implicit fold-in's ``YᵀY``, for a caller that keeps
+    it across calls; it must be the product computed here, which is the
+    one a fresh half-sweep computes (a different one breaks parity).
 
     The result row for any new entity is bitwise-equal to the same row
     of a serial float64 half-sweep over the augmented matrix — see the
@@ -137,9 +142,10 @@ def fold_in_factors(
             # dense Gramian computed once — any other order of operations
             # would break the bitwise parity with a fresh half-sweep.
             Y = np.ascontiguousarray(basis, dtype=np.float64)
-            YtY = Y.T @ Y
+            if gram is None:
+                gram = Y.T @ Y
             rows, X_rows = sweep_occupied(
-                R_new, Y, lam, implicit_alpha=float(alpha), base_gram=YtY, **kw
+                R_new, Y, lam, implicit_alpha=float(alpha), base_gram=gram, **kw
             )
         else:
             rows, X_rows = sweep_occupied(

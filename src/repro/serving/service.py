@@ -18,15 +18,22 @@ over many independent k-sized problems — applies to serving verbatim:
   top-n_max under the engine's total order).
 * **LRU result cache.**  Answers are cached per ``(generation, user,
   n)`` and served on :meth:`submit` without touching the engine.
-  Invalidation is explicit: rating updates and item fold-in/hot-swap
-  advance the generation (old entries become unreachable) and clear the
-  cache; *user* fold-in keeps both — appended rows provably cannot
-  change any existing user's result.
-* **Incremental fold-in.**  :meth:`fold_in_users` /
-  :meth:`fold_in_items` delegate to the recommender's fold-in (one
-  batched k×k S3 solve through the binned kernels — see
-  :mod:`repro.serving.foldin`), then atomically install a new engine.
-  No retrain, no downtime.
+  Invalidation is explicit.  Item fold-in and hot-swap advance the
+  generation and clear the cache.  A rating update advances the
+  generation, carries every entry of an unaffected user forward to it
+  and drops the affected users' entries: an unaffected user's ``X``
+  row, the item factors and its exclusion row are unchanged, so the
+  carried answer is exactly what the new state serves.  *User* fold-in
+  keeps both — appended rows provably cannot change any existing
+  user's result.
+* **Incremental writes.**  :meth:`fold_in_users`,
+  :meth:`update_ratings` and :meth:`fold_in_items` delegate to the
+  recommender (one batched k×k S3 solve through the binned kernels —
+  see :mod:`repro.serving.foldin`), then atomically install the new
+  state.  A user fold-in or a rating update derives it from the served
+  one (:meth:`~repro.serving.engine.TopNEngine.derive`: only the
+  changed rows are cast, checked and keyed); an item fold-in rebuilds
+  it.  No retrain, no downtime.
 * **Atomic hot-swap.**  All mutable state lives in one immutable
   :class:`ModelState`; workers read the reference once per batch, so a
   request is served *entirely* from one generation — pre-swap or
@@ -56,7 +63,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.endpoint import MetricsEndpoint
-from repro.obs.spans import is_enabled
+from repro.obs.spans import is_enabled, span
 from repro.serving.engine import TopNEngine
 from repro.sparse.csr import CSRMatrix
 
@@ -102,7 +109,7 @@ class ServiceStats:
     __slots__ = (
         "_lock", "requests", "cache_hits", "cache_misses", "batches",
         "batched_users", "folded_users", "folded_items", "updated_users",
-        "swaps", "refused_swaps", "errors",
+        "swaps", "refused_swaps", "errors", "cache_carried", "cache_dropped",
     )
 
     def __init__(self) -> None:
@@ -118,6 +125,10 @@ class ServiceStats:
         self.swaps = 0
         self.refused_swaps = 0
         self.errors = 0
+        # Result-cache entries each rating update carried to its new
+        # generation, and those it dropped (affected users, stale ones).
+        self.cache_carried = 0
+        self.cache_dropped = 0
 
     def bump(self, **deltas: int) -> None:
         with self._lock:
@@ -191,7 +202,11 @@ class RecommendService:
         # Serializes every model mutation (fold-in, update, swap); reads
         # never take it — they see either the old or the new state.
         self._mutate_lock = threading.Lock()
-        self._state = self._build_state(0)
+        # The recommender's (X, training matrix) the served state was
+        # built from: a write derives the next state from the served one
+        # only when the recommender still holds exactly these.
+        self._basis: tuple = (None, None)
+        self._install_state(0)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -266,7 +281,7 @@ class RecommendService:
                 obs_metrics.inc("service.cache_hits")
                 obs_metrics.observe_latency("service.request.seconds", 0.0)
             future.set_result(
-                ServeResult(user, n, cached.recommendations, cached.generation, True)
+                ServeResult(user, n, cached.recommendations, state.generation, True)
             )
             return future
         self.stats.bump(cache_misses=1)
@@ -415,12 +430,11 @@ class RecommendService:
 
         The generation does **not** advance: the item factors and every
         existing user row are bitwise-untouched, so cached results stay
-        valid — only the engine/exclusion snapshot is rebuilt to cover
-        the appended rows.  Returns the new global user ids.
+        valid — the served state gains the appended rows.  Returns the
+        new global user ids.
         """
         with self._mutate_lock:
-            new_users = self._rec.fold_in_users(ratings)
-            self._install_state(self._state.generation)
+            new_users = self._write(self._rec.fold_in_users, ratings, "append")
         self.stats.bump(folded_users=int(new_users.size))
         if is_enabled():
             obs_metrics.inc("service.folded_users", float(new_users.size))
@@ -445,15 +459,19 @@ class RecommendService:
         """Fold new/changed ratings of existing users into the model.
 
         Re-solves only the affected users' rows (batched, as a
-        half-sweep solves them) and merges the entries into the exclusion matrix.  The
-        generation advances — affected users' cached entries (and any
-        result computed concurrently from the pre-update snapshot)
-        become unreachable.  Returns the affected user ids.
+        half-sweep solves them) and merges the entries into the
+        exclusion matrix.  The generation advances.  Every cached entry
+        of an unaffected user is carried forward to the new generation
+        (its ``X`` row, ``Y`` and exclusion row are unchanged, so the
+        answer is exactly what the new state serves), and the affected
+        users' entries are dropped.  A batch that read the pre-update
+        state and finishes after the install caches its answers under
+        the old generation, which no request reads again — so a response
+        still comes wholly from one state.  Returns the affected user
+        ids.
         """
         with self._mutate_lock:
-            users = self._rec.update_ratings(updates)
-            self._install_state(self._state.generation + 1)
-            self.clear_cache()
+            users = self._write(self._rec.update_ratings, updates, "rows")
         self.stats.bump(updated_users=int(users.size))
         if is_enabled():
             obs_metrics.inc("service.updated_users", float(users.size))
@@ -471,30 +489,93 @@ class RecommendService:
         the pre- or the post-swap model.  The cache is cleared (the
         generation bump alone already makes old entries unreachable).
 
-        A model the engine refuses (non-finite or mismatched factors) raises
-        ``ValueError`` and counts in ``stats.refused_swaps``; nothing is
-        published, so the old model and generation keep serving.
+        A model that fails to load (a corrupt checkpoint, a non-finite
+        factor), is unfitted, or that the engine refuses (non-finite or
+        mismatched factors) raises ``ValueError`` and counts in
+        ``stats.refused_swaps``; nothing is published, so the old model
+        and generation keep serving.
         """
-        if isinstance(source, (str, os.PathLike)):
-            from repro.api import Recommender
+        try:
+            if isinstance(source, (str, os.PathLike)):
+                from repro.api import Recommender
 
-            source = Recommender.load(source, mmap_mode=mmap_mode)
-        if not getattr(source, "is_fitted", False):
-            raise ValueError("hot_swap needs a fitted recommender or checkpoint")
-        with self._mutate_lock:
-            try:
+                source = Recommender.load(source, mmap_mode=mmap_mode)
+            if not getattr(source, "is_fitted", False):
+                raise ValueError("hot_swap needs a fitted recommender or checkpoint")
+            with self._mutate_lock:
                 gen = self._install_state(self._state.generation + 1, source)
-            except ValueError:
-                self.stats.bump(refused_swaps=1)
-                if is_enabled():
-                    obs_metrics.inc("service.refused_swaps")
-                raise
-            self._rec = source
-            self.clear_cache()
+                self._rec = source
+                self.clear_cache()
+        except ValueError:
+            self.stats.bump(refused_swaps=1)
+            if is_enabled():
+                obs_metrics.inc("service.refused_swaps")
+            raise
         self.stats.bump(swaps=1)
         if is_enabled():
             obs_metrics.inc("service.swaps")
         return gen
+
+    def _write(self, write, payload, mode: str) -> np.ndarray:
+        """Apply a user-row write to the recommender and install the
+        state derived from the served one.
+
+        ``write`` is the recommender's ``fold_in_users`` (``mode``
+        ``"append"``: rows appended, the generation kept) or
+        ``update_ratings`` (``"rows"``: rows replaced, the generation
+        advanced and the cache carried).  A state the engine refuses (a
+        non-finite new row) rolls the recommender back and raises
+        ``ValueError``; the served state and generation stay.  Returns
+        the written user ids.
+        """
+        rec, old = self._rec, self._state
+        generation = old.generation + (mode == "rows")
+        before = (rec.model.X, rec._train_csr, rec._engine)
+        rows = write(payload)
+        if before[0] is not self._basis[0] or before[1] is not self._basis[1]:
+            mode = "rebuild"  # the recommender changed outside this service
+        with span("service.install", mode=mode):
+            try:
+                if mode == "rebuild":
+                    state = self._build_state(generation)
+                else:
+                    exclude = rec._train_csr if self.exclude_seen else None
+                    engine = old.engine.derive(
+                        rec.model.X[rows],
+                        rows=None if mode == "append" else rows,
+                        exclude=exclude,
+                    )
+                    state = ModelState(generation, engine, exclude)
+            except ValueError:
+                rec.model.X, rec._train_csr, rec._engine = before
+                raise
+            # Under the cache lock, so no request reads the new state
+            # before its carried entries are in place.
+            with self._cache_lock:
+                self._publish(state, rec)
+                if mode == "rows":
+                    self._carry_cache(old.generation, rows)
+                elif generation != old.generation:
+                    self._cache.clear()
+        return rows
+
+    def _carry_cache(self, old_gen: int, users: np.ndarray) -> None:
+        """Re-key every entry of ``old_gen`` whose user is not in
+        ``users`` to the current generation; drop the rest.  The caller
+        holds the cache lock."""
+        gen = self._state.generation
+        affected = set(users.tolist())
+        carried: OrderedDict[tuple, ServeResult] = OrderedDict()
+        for (g, user, n), res in self._cache.items():
+            if g == old_gen and user not in affected:
+                carried[(gen, user, n)] = res
+        dropped = len(self._cache) - len(carried)
+        self._cache = carried
+        self.stats.bump(cache_carried=len(carried), cache_dropped=dropped)
+        if is_enabled():
+            obs_metrics.inc("service.cache_carried", float(len(carried)))
+            obs_metrics.inc("service.cache_dropped", float(dropped))
+            obs_metrics.set_gauge("service.cache_entries", len(carried))
 
     def _build_state(self, generation: int, rec=None) -> ModelState:
         rec = self._rec if rec is None else rec
@@ -505,13 +586,20 @@ class RecommendService:
         return ModelState(generation=generation, engine=engine, exclude=exclude)
 
     def _install_state(self, generation: int, rec=None) -> int:
-        # Build completely (the engine refuses non-finite factors) before
-        # publishing: a failed build leaves the served state untouched.
-        state = self._build_state(generation, rec)
-        self._state = state  # the atomic swap point
-        if is_enabled():
-            obs_metrics.set_gauge("service.generation", generation)
+        """Build a state from scratch and publish it (start-up, item
+        fold-in, hot-swap).  It is built completely — the engine refuses
+        non-finite factors — before publishing, so a failed build leaves
+        the served state untouched."""
+        rec = self._rec if rec is None else rec
+        with span("service.install", mode="rebuild"):
+            self._publish(self._build_state(generation, rec), rec)
         return generation
+
+    def _publish(self, state: ModelState, rec) -> None:
+        self._state = state  # the atomic swap point
+        self._basis = (rec.model.X, rec._train_csr)
+        if is_enabled():
+            obs_metrics.set_gauge("service.generation", state.generation)
 
 
 class ServiceEndpoint(MetricsEndpoint):

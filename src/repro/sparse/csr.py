@@ -20,6 +20,7 @@ __all__ = [
     "RowShard",
     "build_degree_bins",
     "build_lane_plan",
+    "splice_rows",
 ]
 
 
@@ -187,6 +188,35 @@ def build_degree_bins(
     return tuple(bins)
 
 
+def splice_rows(
+    base: np.ndarray,
+    base_ptr: np.ndarray,
+    rows: np.ndarray,
+    repl: np.ndarray,
+    repl_ptr: np.ndarray,
+) -> np.ndarray:
+    """``base`` with the row segments of ``rows`` replaced.
+
+    ``base`` is a per-entry array laid out by ``base_ptr`` (a CSR
+    ``row_ptr``); segment ``base_ptr[r]:base_ptr[r+1]`` of row
+    ``rows[i]`` becomes ``repl[repl_ptr[i]:repl_ptr[i+1]]``.  ``rows``
+    must ascend without repeats.  The other segments are copied through
+    as they are: one Python step per replaced row and one concatenation,
+    whatever the length of ``base``.
+    """
+    starts = base_ptr[rows].tolist()
+    ends = base_ptr[np.asarray(rows) + 1].tolist()
+    rp = repl_ptr.tolist()
+    pieces = []
+    lo = 0
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        pieces.append(base[lo:start])
+        pieces.append(repl[rp[i]:rp[i + 1]])
+        lo = end
+    pieces.append(base[lo:])
+    return np.concatenate(pieces)
+
+
 def _grid_bin_edges(degree: int, growth: float) -> tuple[int, int]:
     """The ``[lo, hi]`` degree range of the grid bin containing ``degree``.
 
@@ -251,7 +281,16 @@ class CSRMatrix:
             raise ValueError("row_ptr must be non-decreasing")
         if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= n):
             raise ValueError("col_idx out of range")
-        self.shape = (m, n)
+        self._adopt((m, n), value, col_idx, row_ptr)
+
+    def _adopt(
+        self,
+        shape: tuple[int, int],
+        value: np.ndarray,
+        col_idx: np.ndarray,
+        row_ptr: np.ndarray,
+    ) -> None:
+        self.shape = shape
         self.value = value
         self.col_idx = col_idx
         self.row_ptr = row_ptr
@@ -283,6 +322,94 @@ class CSRMatrix:
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
         return cls.from_coo(COOMatrix.from_dense(dense))
+
+    @classmethod
+    def _trusted(
+        cls,
+        shape: tuple[int, int],
+        value: np.ndarray,
+        col_idx: np.ndarray,
+        row_ptr: np.ndarray,
+    ) -> "CSRMatrix":
+        """A CSR over arrays assembled from valid CSRs: no O(nnz) checks."""
+        csr = cls.__new__(cls)
+        csr._adopt(shape, value, col_idx, row_ptr)
+        return csr
+
+    # ------------------------------------------------------------------
+    # writes: each returns a new matrix and leaves this one as it is
+    # ------------------------------------------------------------------
+    def append_rows(self, new: "CSRMatrix") -> "CSRMatrix":
+        """``new``'s rows stacked under this matrix's.
+
+        CSR is row-major, so this is three concatenations: no sort, no
+        per-entry work and no re-check of entries both matrices already
+        hold valid.
+        """
+        if new.ncols != self.ncols:
+            raise ValueError(f"column mismatch: {self.ncols} vs {new.ncols}")
+        return CSRMatrix._trusted(
+            (self.nrows + new.nrows, self.ncols),
+            np.concatenate([self.value, new.value]),
+            np.concatenate([self.col_idx, new.col_idx]),
+            np.concatenate([self.row_ptr, self.nnz + new.row_ptr[1:]]),
+        )
+
+    def merged_rows(self, updates: COOMatrix) -> tuple[np.ndarray, "CSRMatrix"]:
+        """``(rows, sub)``: the rows ``updates`` touch, ascending, and
+        their contents once the updates are merged in.
+
+        Row ``i`` of ``sub`` is row ``rows[i]`` of :meth:`from_coo` over
+        this matrix's entries followed by ``updates``: a coordinate in
+        both takes the update's value, and among repeats inside
+        ``updates`` the last wins.  Only the touched rows' entries are
+        deduplicated.  :meth:`replace_rows` splices ``sub`` in.
+        """
+        if updates.shape[0] > self.nrows or updates.shape[1] > self.ncols:
+            raise ValueError(
+                f"updates shape {updates.shape} exceeds the matrix {self.shape}"
+            )
+        rows = np.unique(updates.row)
+        old = self.take_rows(rows)
+        sub = CSRMatrix.from_coo(COOMatrix(
+            (rows.size, self.ncols),
+            np.concatenate([old.expanded_rows(), np.searchsorted(rows, updates.row)]),
+            np.concatenate([old.col_idx, updates.col]),
+            np.concatenate([old.value, updates.value]),
+        ))
+        return rows, sub
+
+    def replace_rows(self, rows: np.ndarray, sub: "CSRMatrix") -> "CSRMatrix":
+        """This matrix with row ``rows[i]`` replaced by row ``i`` of ``sub``.
+
+        ``rows`` ascends without repeats.  The other rows are copied
+        through by :func:`splice_rows` — one Python step per replaced
+        row and one copy of the arrays, no sort and no re-check — so
+        this matrix must already be canonical (columns ascending and
+        unrepeated within each row, as every :meth:`from_coo` result
+        is) for the result to be.  With :meth:`merged_rows` this is
+        :meth:`from_coo` over the entries and the updates, at the cost
+        of the rows they touch.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if sub.nrows != rows.size or sub.ncols != self.ncols:
+            raise ValueError(
+                f"{rows.size} rows of {self.ncols} columns expected, got {sub.shape}"
+            )
+        if rows.size and (
+            rows[0] < 0 or rows[-1] >= self.nrows or np.any(rows[1:] <= rows[:-1])
+        ):
+            raise ValueError("rows must ascend without repeats within the matrix")
+        lengths = self.row_lengths().copy()
+        lengths[rows] = sub.row_lengths()
+        row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
+        np.cumsum(lengths, out=row_ptr[1:])
+        return CSRMatrix._trusted(
+            self.shape,
+            splice_rows(self.value, self.row_ptr, rows, sub.value, sub.row_ptr),
+            splice_rows(self.col_idx, self.row_ptr, rows, sub.col_idx, sub.row_ptr),
+            row_ptr,
+        )
 
     # ------------------------------------------------------------------
     # properties

@@ -1,5 +1,6 @@
-"""The ``--check`` bars of the outofcore and convergence workloads, on
-canned records: one that passes, and one that trips each bar."""
+"""The ``--check`` bars of the outofcore, convergence and serving
+workloads, on canned records: one that passes, and one that trips each
+bar."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import copy
 
 import pytest
 
-from repro.bench.workloads import convergence, outofcore
+from repro.bench.workloads import convergence, outofcore, serving
 
 OUTOFCORE_OK = {
     "loss_rel_err": 3.7e-16,
@@ -25,6 +26,17 @@ CONVERGENCE_OK = {
     "final_loss_rel_gap": 0.0,
     "dk_bitwise": {"als": True, "als-wr": True, "implicit": True},
     "sharded_bitwise": {"als": True, "als-wr": True, "implicit": True},
+}
+
+
+_LOOP = {"throughput": 900.0, "errors": 0}
+SERVING_OK = {
+    "batching_speedup": 3.0,
+    "foldin_bitwise": {"als": True, "als-wr": True, "implicit": True},
+    "update_bitwise": {"als": True, "als-wr": True, "implicit": True},
+    "foldin_no_retrain": True,
+    "batching": {"batched": dict(_LOOP), "unbatched": dict(_LOOP)},
+    "open_loop": dict(_LOOP),
 }
 
 
@@ -95,3 +107,28 @@ class TestConvergenceCheck:
         record = _with(CONVERGENCE_OK, ("time_to_target_speedup",), 1.0)
         assert convergence.check_record(record, {}) == []
         assert convergence.check_record(record, {"quick": False})
+
+
+class TestServingCheck:
+    def test_passing_record(self):
+        assert serving.check_record([SERVING_OK, {}], {"quick": True}) == []
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("batching_speedup",), 1.1, "below the required 1.20"),
+            (("foldin_bitwise", "als-wr"), False,
+             "als-wr: folded-in factors are not bitwise-equal"),
+            (("update_bitwise", "implicit"), False,
+             "implicit: updated factors are not bitwise-equal"),
+            (("foldin_no_retrain",), False, "triggered a trainer call"),
+            (("open_loop", "errors"), 2, "open loop had 2 errors"),
+        ],
+        ids=["batching", "foldin", "update", "retrain", "open-loop"],
+    )
+    def test_each_bar_trips(self, path, value, message):
+        failures = serving.check_record(
+            _with(SERVING_OK, path, value), {"quick": True}
+        )
+        assert len(failures) == 1
+        assert message in failures[0]

@@ -71,6 +71,53 @@ class TestDirectoryRoundTrip:
             repro.Recommender.load(tmp_path / "m.npz", mmap_mode="r")
 
 
+class TestNonFiniteCheckpoint:
+    """A NaN or infinity written into a saved checkpoint is refused on
+    load, naming the factor and the row, in both formats."""
+
+    @pytest.mark.parametrize(
+        "name, row, value", [("X", 7, np.nan), ("Y", 49, np.inf)]
+    )
+    def test_directory(self, fitted, tmp_path, name, row, value):
+        _, rec = fitted
+        rec.save(tmp_path / "ckpt")
+        factor = np.load(tmp_path / "ckpt" / f"{name}.npy", mmap_mode="r+")
+        factor[row, 2] = value
+        factor.flush()
+        del factor
+        for mmap_mode in (None, "r"):
+            with pytest.raises(ValueError, match=f"factor {name}, row {row}$"):
+                repro.Recommender.load(tmp_path / "ckpt", mmap_mode=mmap_mode)
+
+    @pytest.mark.parametrize(
+        "name, row, value", [("X", 0, -np.inf), ("Y", 12, np.nan)]
+    )
+    def test_npz(self, fitted, tmp_path, name, row, value):
+        _, rec = fitted
+        rec.save(tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[name][row, 0] = value
+        np.savez_compressed(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(ValueError, match=f"factor {name}, row {row}$"):
+            repro.Recommender.load(tmp_path / "bad.npz")
+
+    def test_hot_swap_refuses_it(self, fitted, tmp_path):
+        from repro.serving.service import RecommendService
+
+        _, rec = fitted
+        rec.save(tmp_path / "ckpt")
+        factor = np.load(tmp_path / "ckpt" / "X.npy", mmap_mode="r+")
+        factor[3, 0] = np.nan
+        factor.flush()
+        del factor
+        svc = RecommendService(rec)
+        with pytest.raises(ValueError, match="factor X, row 3$"):
+            svc.hot_swap(tmp_path / "ckpt")
+        assert svc.generation == 0 and svc._rec is rec
+        assert svc.stats.snapshot()["refused_swaps"] == 1
+
+
 class TestShardStoreFit:
     def test_fit_from_store_matches_in_ram(self, fitted, tmp_path):
         ratings, rec = fitted

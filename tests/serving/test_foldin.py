@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.api as api_mod
-from repro.api import Recommender, _append_rows
+from repro.api import Recommender
 from repro.core.alswr import weighted_half_sweep
 from repro.core.implicit import implicit_half_sweep
 from repro.kernels.fastpath import fast_half_sweep
@@ -70,7 +70,7 @@ class TestFoldInFactors:
     ):
         R, Y = base_problem
         folded = fold_in_factors(new_rows, Y, LAM, algorithm, ALPHA)
-        aug = _append_rows(R, new_rows)
+        aug = R.append_rows(new_rows)
         ref = _reference_rows(algorithm, aug, Y)
         assert np.array_equal(folded, ref[R.nrows:])
 
