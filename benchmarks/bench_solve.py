@@ -3,10 +3,12 @@
 
 Isolates stage S3 (solving the per-user normal equations) on the full
 ml-1m shape: the reference blocked-Cholesky path against the batched
-LAPACK ``gesv`` path and the Gaussian-elimination comparator, then a
-whole half-sweep (S1+S2+S3) serial vs parallel with bitwise-identity
-verification.  ``BENCH_3.json`` at the repo root records the committed
-numbers.
+LAPACK ``gesv`` path and the Gaussian-elimination comparator; then one
+S3 call at the sizes a write solves (the ``write_solve`` table: rows
+{16, 64} × width {16, 32, 48, 64}, lapack vs the reference, best ms
+per call); then a whole half-sweep (S1+S2+S3) serial vs parallel with
+bitwise-identity verification.  ``BENCH_3.json`` at the repo root
+records the committed numbers.
 
 Run directly (not under pytest)::
 

@@ -38,15 +38,20 @@ _ALGORITHMS = {"als": train_als, "als-wr": train_als_wr, "implicit": train_impli
 _CONFIGS = {"als": ALSConfig, "als-wr": ALSConfig, "implicit": ImplicitConfig}
 
 
-def _check_finite(path, name: str, F: np.ndarray) -> None:
-    """Raise naming the first row of ``F`` holding a NaN or an infinity."""
-    for a in range(0, F.shape[0], _SAVE_CHUNK_ROWS):
-        bad = ~np.isfinite(F[a:a + _SAVE_CHUNK_ROWS]).all(axis=1)
-        if bad.any():
-            raise ValueError(
-                f"{path}: non-finite value in factor {name}, "
-                f"row {a + int(np.argmax(bad))}"
-            )
+def _check_finite(source, X: np.ndarray, Y: np.ndarray) -> None:
+    """Raise naming the first factor row holding a NaN or an infinity.
+
+    Reads the factors in row chunks, so a memory-mapped model pages
+    through once without being held.
+    """
+    for name, F in (("X", X), ("Y", Y)):
+        for a in range(0, F.shape[0], _SAVE_CHUNK_ROWS):
+            bad = ~np.isfinite(F[a:a + _SAVE_CHUNK_ROWS]).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"{source}: non-finite value in factor {name}, "
+                    f"row {a + int(np.argmax(bad))}"
+                )
 
 
 class Recommender:
@@ -101,15 +106,21 @@ class Recommender:
         ``recommend``.  A :class:`ShardStore` trains out of core and its
         memory-mapped row view serves the exclusion filter (per-user
         gathers touch only the pages holding those rows).
+
+        Raises :class:`ValueError` naming the factor and the row when
+        training leaves a NaN or an infinity in ``X`` or ``Y``; the
+        recommender then keeps its previous model.
         """
         with span("recommender.fit", algorithm=self.algorithm, k=self.config.k):
             if isinstance(ratings, ShardStore):
-                self._model = _ALGORITHMS[self.algorithm](ratings, self.config)
-                self._train_csr = ratings.rows
+                train, view = ratings, ratings.rows
             else:
                 _, csr = ratings_views(ratings)
-                self._model = _ALGORITHMS[self.algorithm](csr, self.config)
-                self._train_csr = csr
+                train = view = csr
+            model = _ALGORITHMS[self.algorithm](train, self.config)
+            _check_finite("fit", model.X, model.Y)
+            self._model = model
+            self._train_csr = view
             self._engine = None  # factors changed; rebuild lazily
             self._gram = None
         return self
@@ -452,8 +463,7 @@ class Recommender:
                 f"{path}: factor shapes {X.shape}/{Y.shape} do not match "
                 f"the stored config (k={k})"
             )
-        for name, F in (("X", X), ("Y", Y)):
-            _check_finite(path, name, F)
+        _check_finite(path, X, Y)
         # Files written before history persistence lack the key; they
         # load with an empty history, as before.
         history = meta.get("history", [])

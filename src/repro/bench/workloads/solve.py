@@ -2,7 +2,9 @@
 
 The benchmark body behind ``benchmarks/bench_solve.py``.
 ``BENCH_3.json`` records the committed numbers; the gate metric is
-``lapack_speedup``.
+``lapack_speedup``.  The ``write_solve`` table times one S3 call at the
+sizes a write solves (a fold-in or update group of 16 or 64 rows),
+where per-call overhead rather than arithmetic sets the cost.
 """
 
 from __future__ import annotations
@@ -33,8 +35,43 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+#: (rows, width) of the write-sized S3 calls: rows of a fold-in or
+#: update group, widths of the dual and primal forms up to k = 64.
+WRITE_ROWS = (16, 64)
+WRITE_WIDTHS = (16, 32, 48, 64)
+
+
+def write_solve_table(seed: int, calls: int) -> list[dict]:
+    """Best-of-``calls`` ms per call of ``lapack`` and the ``cholesky``
+    reference on ALS-shaped SPD stacks of every write-sized (rows, width)."""
+    rng = np.random.default_rng(seed)
+    table = []
+    for rows in WRITE_ROWS:
+        for width in WRITE_WIDTHS:
+            W = rng.standard_normal((rows, width + 3, width))
+            A = W.transpose(0, 2, 1) @ W
+            A[:, np.arange(width), np.arange(width)] += 0.1
+            b = rng.standard_normal((rows, width))
+            cell = {"rows": rows, "width": width}
+            for name in ("lapack", "cholesky"):
+                fn = SOLVERS[name]
+                cell[f"{name}_ms"] = 1e3 * _best_of(lambda: fn(A, b), calls)
+            cell["lapack_speedup"] = cell["cholesky_ms"] / cell["lapack_ms"]
+            print(f"  write s3 rows={rows:3d} width={width:3d}: lapack "
+                  f"{cell['lapack_ms']:7.3f} ms, cholesky "
+                  f"{cell['cholesky_ms']:7.3f} ms "
+                  f"({cell['lapack_speedup']:.1f}x)", flush=True)
+            table.append(cell)
+    return table
+
+
 def run_benchmark(
-    scale: float, k: int, repeats: int, seed: int, skip: tuple[str, ...] = ()
+    scale: float,
+    k: int,
+    repeats: int,
+    seed: int,
+    skip: tuple[str, ...] = (),
+    write_calls: int = 30,
 ) -> dict:
     spec = MOVIELENS1M.scaled(scale)
     coo = generate_ratings(spec, seed=seed)
@@ -63,6 +100,7 @@ def run_benchmark(
         print(f"  s3 {name:9s}: {solve_seconds[name]:8.3f} s", flush=True)
     lapack_speedup = solve_seconds["cholesky"] / solve_seconds["lapack"]
     print(f"  lapack speedup over reference: {lapack_speedup:8.2f}x", flush=True)
+    write_solve = write_solve_table(seed, write_calls)
 
     X_serial = fast_half_sweep(R, Y, 0.1, solver="lapack")  # untimed warm-up
     serial_seconds = _best_of(
@@ -94,6 +132,7 @@ def run_benchmark(
         "cores": os.cpu_count(),
         "s3_seconds": solve_seconds,
         "lapack_speedup": lapack_speedup,
+        "write_solve": write_solve,
         "sweep": {
             "solver": "lapack",
             "serial_seconds": serial_seconds,
@@ -113,13 +152,15 @@ def resolve(
     seed: int = 7,
 ) -> dict:
     """Quick keeps the full solve shape (the 3x bar is only honest on
-    the real ml-1m batch) but one repeat and no gaussian timing."""
+    the real ml-1m batch) but one repeat, no gaussian timing and fewer
+    write-sized calls."""
     return {
         "scale": scale if scale is not None else 1.0,
         "k": k if k is not None else 64,
         "repeats": repeats if repeats is not None else (1 if quick else 2),
         "seed": seed,
         "skip": ("gaussian",) if quick else (),
+        "write_calls": 10 if quick else 30,
     }
 
 

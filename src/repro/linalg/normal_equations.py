@@ -60,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.knobs import Knob, at_least
-from repro.linalg.solvers import _TRSM_BLOCK
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import BinLanes, CSRMatrix
@@ -552,16 +551,22 @@ class SolveGroup:
         return X
 
 
+#: Dual systems pad their width up to a multiple of this many lanes.
+DUAL_PAD = 16
+
+
 def dual_width(width: int, k: int) -> int:
     """The solve width of a dual system over ``width`` ratings, or 0.
 
-    A bin narrower than ``k`` takes the dual form; its systems pad to the
-    next multiple of the batched substitution's panel (capped at ``k``),
-    so all short rows solve in at most ``ceil(k / 16)`` batched calls.
+    A bin narrower than ``k`` takes the dual form.  Its systems pad to
+    the next multiple of :data:`DUAL_PAD` (capped at ``k``) so that the
+    dual bins share few widths: every dual row of a sweep solves in at
+    most ``ceil(k / 16)`` S3 calls, and each call's fixed cost is paid
+    over many rows.  A padded lane holds only the ridge and solves to 0.
     """
     if width >= k:
         return 0
-    return min(-(-width // _TRSM_BLOCK) * _TRSM_BLOCK, k)
+    return min(-(-width // DUAL_PAD) * DUAL_PAD, k)
 
 
 def binned_solve_groups(

@@ -5,16 +5,14 @@ Gaussian-elimination kernel against the Cholesky method and keeps the
 latter.  This module is where those code variants live on the host side:
 
 * ``lapack`` — the default.  The whole occupied ``(batch, k, k)`` stack
-  is factored by NumPy's native batched ``np.linalg.cholesky`` (one
-  gufunc call into LAPACK ``dpotrf``) and solved with two blocked
-  batched triangular substitutions whose k² work rides on O(k/16)
-  GEMMs.  It keeps every check the reference makes: a system with NaN
-  or inf entries raises :class:`CholeskyError` (``dpotrf`` itself lets
-  NaN through, so the factor's diagonal is checked).  When the batched factorization
-  rejects the stack, the failing systems are isolated per-system (the
-  paper's SPD guarantee makes this a never-in-theory robustness path)
-  and recovered with a least-squares solve, so one finite indefinite
-  matrix no longer aborts the whole batch.
+  is solved by one ``np.linalg.solve`` gufunc call: a LAPACK ``dgesv``
+  (LU with partial pivoting) per system, with the GIL released and no
+  Python loop.  LU costs twice the flops of Cholesky, but at ALS widths
+  a host S3 group is bound by per-call overhead, not arithmetic (see
+  docs/performance.md §S3).  A system with NaN or inf entries raises
+  :class:`CholeskyError`; an exactly singular one (never, for the
+  ridge-regularized normal equations) gets a counted least-squares
+  answer instead of aborting its batch.
 * ``cholesky`` — the from-scratch reference (:mod:`repro.linalg.cholesky`).
   Loops over the k columns with Python-level einsum dispatches: faithful
   to the paper's hand-written kernel, but ~3·k interpreter round-trips
@@ -102,72 +100,46 @@ def _rejection(a: np.ndarray) -> CholeskyError:
     return CholeskyError("stack not positive definite")
 
 
-def _indefinite_mask(a: np.ndarray) -> np.ndarray:
-    """Boolean mask of systems whose individual factorization fails."""
-    bad = np.zeros(a.shape[0], dtype=bool)
-    for i in range(a.shape[0]):
-        try:
-            np.linalg.cholesky(a[i])
-        except np.linalg.LinAlgError:
-            bad[i] = True
-    if not bad.any():
-        # The batched gufunc rejected the stack but every system factors
-        # alone — should not happen; flag everything rather than loop.
-        bad[:] = True
-    return bad
+def _refuse_non_finite(a: np.ndarray) -> None:
+    """Raise :class:`CholeskyError` naming the first system holding a NaN or inf.
+
+    The common, finite case costs one pass over ``a`` and no temporary:
+    a sum is NaN or infinite when any entry is.  A finite stack whose
+    sum overflows takes the per-system check and passes it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    if bad.any():
+        raise _non_finite(int(np.argmax(bad)))
 
 
-#: Panel width of the blocked substitution: within a panel the rows are
-#: eliminated one vectorized step at a time, and the trailing update is
-#: a single batched GEMM — O(k/block) matmuls carry the k² work instead
-#: of k dot products, and (unlike ``np.linalg.solve`` on the factor) no
-#: LU of an already-triangular matrix is paid.
-_TRSM_BLOCK = 16
-
-
-def _triangular_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x`` with ``L Lᵀ x = b`` via two blocked batched substitutions."""
-    k = b.shape[1]
-    block = _TRSM_BLOCK
-    # Forward: L z = b, by lower panels.
-    z = b.copy()
-    for s in range(0, k, block):
-        e = min(s + block, k)
-        for i in range(s, e):
-            if i > s:
-                z[:, i] -= np.einsum("bj,bj->b", L[:, i, s:i], z[:, s:i])
-            z[:, i] /= L[:, i, i]
-        if e < k:
-            z[:, e:] -= np.matmul(L[:, e:, s:e], z[:, s:e, None])[:, :, 0]
-    # Backward: Lᵀ x = z, by upper panels (indexing L column-wise keeps
-    # the factor in place — no (batch, k, k) transposed copy).
-    x = z
-    for e in range(k, 0, -block):
-        s = max(e - block, 0)
-        for i in range(e - 1, s - 1, -1):
-            if i < e - 1:
-                x[:, i] -= np.einsum("bj,bj->b", L[:, i + 1:e, i], x[:, i + 1:e])
-            x[:, i] /= L[:, i, i]
-        if s > 0:
-            x[:, :s] -= np.matmul(
-                L[:, s:e, :s].transpose(0, 2, 1), x[:, s:e, None]
-            )[:, :, 0]
-    return x
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One ``dgesv`` per system inside one gufunc call: no Python loop."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def batched_lapack_solve(
     a: np.ndarray, b: np.ndarray, fallback: bool = True
 ) -> np.ndarray:
-    """Solve a stack of SPD systems with LAPACK-class batched kernels.
+    """Solve a stack of SPD systems with one batched LAPACK call.
 
-    ``fallback=True`` (the sweep default) degrades gracefully when the
-    batched factorization rejects the stack: PD systems are still solved
-    through their Cholesky factors, and the finite indefinite ones fall
-    back to a per-system least-squares solve (counted in the
-    ``solver.lapack.fallback_systems`` metric).  ``fallback=False``
-    raises :class:`CholeskyError` like the reference implementation.
-    A system with non-finite entries raises :class:`CholeskyError` in
-    both modes, as the reference does.
+    Every system is solved by LU with partial pivoting (``dgesv``), all
+    of them inside one ``np.linalg.solve`` gufunc call.  A system's
+    answer depends only on that system, never on the others in its
+    stack, so any split of the rows into groups solves each row
+    bitwise the same.
+
+    A system with non-finite entries raises :class:`CholeskyError`
+    naming it, in both modes, as the reference does.  ``fallback=False``
+    first checks positive definiteness with
+    :func:`lapack_cholesky_factor` and raises like the reference.
+    ``fallback=True`` (the sweep default) solves any nonsingular system,
+    an indefinite one included; when LU finds an exactly singular
+    system, the stack is re-solved one system at a time and each
+    singular one gets a least-squares answer (counted in the
+    ``solver.lapack.fallback_systems`` metric).
     """
     a = as_float64_stack(a, 3)
     b = as_float64_stack(b, 2, "rhs")
@@ -175,35 +147,27 @@ def batched_lapack_solve(
         raise ValueError("input must have shape (batch, k, k)")
     if b.shape[0] != a.shape[0] or b.shape[1] != a.shape[1]:
         raise ValueError("rhs must have shape (batch, k)")
+    if not fallback:
+        lapack_cholesky_factor(a)
+    _refuse_non_finite(a)
     try:
-        L = lapack_cholesky_factor(a)
-    except CholeskyError:
-        if not fallback:
-            raise
+        return _lu_solve(a, b)
+    except np.linalg.LinAlgError:
         return _solve_with_fallback(a, b)
-    return _triangular_solve(L, b)
 
 
 def _solve_with_fallback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    bad = _indefinite_mask(a)
-    good = ~bad
-    L = np.linalg.cholesky(a[good]) if good.any() else None
-    # Non-finite systems raise rather than reach lstsq (which fails with
-    # "SVD did not converge" after LAPACK noise on stderr) or return the
-    # NaN factor dpotrf accepted.
-    non_finite = np.zeros(a.shape[0], dtype=bool)
-    non_finite[bad] = ~np.isfinite(a[bad]).all(axis=(1, 2))
-    if L is not None:
-        non_finite[good] = ~np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
-    if non_finite.any():
-        raise _non_finite(int(np.argmax(non_finite)))
+    """Per-system solve of a finite stack holding a singular system."""
     x = np.empty_like(b)
-    if L is not None:
-        x[good] = _triangular_solve(L, b[good])
-    for i in np.nonzero(bad)[0]:
-        x[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+    singular = 0
+    for i in range(a.shape[0]):
+        try:
+            x[i] = _lu_solve(a[i:i + 1], b[i:i + 1])[0]
+        except np.linalg.LinAlgError:
+            x[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+            singular += 1
     if is_enabled():
-        obs_metrics.inc("solver.lapack.fallback_systems", int(bad.sum()))
+        obs_metrics.inc("solver.lapack.fallback_systems", singular)
     return x
 
 

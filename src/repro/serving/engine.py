@@ -571,9 +571,13 @@ class TopNEngine:
                         offsets = np.arange(total, dtype=np.int64) - np.repeat(
                             np.cumsum(lengths) - lengths, lengths
                         )
-                        boot_cols = exclude.col_idx[
-                            np.repeat(starts, lengths) + offsets
-                        ]
+                        # Read the columns back from the sorted keys, not
+                        # col_idx: a directly built row may list them in
+                        # any order, and only the keys ascend.
+                        boot_cols = (
+                            keys_all[np.repeat(starts, lengths) + offsets]
+                            - base_keys[boot_rows]
+                        )
             else:
                 excl_rows, excl_cols = _seen_pairs(exclude, block_users)
                 if excl_rows.size:

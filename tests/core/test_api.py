@@ -43,6 +43,46 @@ class TestLifecycle:
         assert rec.evaluate(data.test)["rmse"] < 1.5
 
 
+class TestNonFiniteFit:
+    """A NaN that training leaves in a factor fails the fit loudly."""
+
+    @pytest.mark.parametrize("algorithm", ["als", "implicit"])
+    def test_nan_row_from_the_last_half_sweep(self, data, monkeypatch, algorithm):
+        import repro.kernels.fastpath as fastpath
+        from repro.sparse import COOMatrix
+        from repro.sparse.csr import CSRMatrix
+
+        train = data.train.deduplicate()
+        # Implicit feedback must be non-negative: train on |r|.
+        train = COOMatrix(train.shape, train.row, train.col, np.abs(train.value))
+        occupied_users = int(np.count_nonzero(
+            CSRMatrix.from_coo(train).row_lengths()
+        ))
+        solver_fn = fastpath.solver_fn
+        solved = [0]
+
+        def poisoned_solver_fn(name):
+            solve = solver_fn(name)
+
+            def run(A, b):
+                x = solve(A, b)
+                # Past the user half-sweep's rows: an item system, whose
+                # answer no later solve reads (one iteration).
+                if solved[0] >= occupied_users:
+                    x[0] = np.nan
+                solved[0] += A.shape[0]
+                return x
+
+            return run
+
+        monkeypatch.setattr(fastpath, "solver_fn", poisoned_solver_fn)
+        rec = Recommender(k=3, iterations=1, algorithm=algorithm)
+        with pytest.raises(ValueError, match=r"^fit: non-finite value in factor Y, row \d+$"):
+            rec.fit(train)
+        assert solved[0] > occupied_users
+        assert not rec.is_fitted
+
+
 class TestQueries:
     def test_predict_matches_model(self, fitted):
         out = fitted.predict([1, 2], [3, 4])

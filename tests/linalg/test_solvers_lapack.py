@@ -116,18 +116,42 @@ class TestFallback:
 
     def test_fallback_counted_in_metrics(self, rng):
         A, b = spd_stack(rng, 4, 3)
-        A[1] = -np.eye(3)
+        A[1] = 0.0  # singular: LU rejects it, least squares answers 0
         obs_metrics.reset()
         with capture():
-            batched_lapack_solve(A, b)
+            x = batched_lapack_solve(A, b)
         counters = obs_metrics.snapshot()["counters"]
         assert counters["solver.lapack.fallback_systems"] == 1.0
+        np.testing.assert_array_equal(x[1], 0.0)
+        good = [0, 2, 3]
+        np.testing.assert_array_equal(x[good], batched_lapack_solve(A[good], b[good]))
+
+    def test_indefinite_system_solved_exactly_and_not_counted(self, rng):
+        A, b = spd_stack(rng, 4, 3)
+        A[2] = -np.eye(3)  # indefinite but nonsingular: LU solves it
+        obs_metrics.reset()
+        with capture():
+            x = batched_lapack_solve(A, b)
+        counters = obs_metrics.snapshot()["counters"]
+        assert counters.get("solver.lapack.fallback_systems", 0.0) == 0.0
+        np.testing.assert_array_equal(x[2], -b[2])
 
     def test_fallback_disabled_raises_like_reference(self, rng):
         A, b = spd_stack(rng, 4, 3)
         A[1] = -np.eye(3)
         with pytest.raises(CholeskyError, match="matrix 1"):
             batched_lapack_solve(A, b, fallback=False)
+
+    def test_fallback_disabled_names_the_system(self, rng):
+        """Indefinite or singular, ``fallback=False`` raises the
+        reference's error for that system instead of solving it."""
+        for bad in (-np.eye(3), np.zeros((3, 3))):
+            A, b = spd_stack(rng, 4, 3)
+            A[2] = bad
+            with pytest.raises(CholeskyError, match="matrix 2 not positive definite"):
+                batched_lapack_solve(A, b, fallback=False)
+            with pytest.raises(CholeskyError, match="matrix 2"):
+                batched_cholesky_solve(A, b)
 
     def test_shape_validation(self, rng):
         A, b = spd_stack(rng, 3, 4)
@@ -258,3 +282,33 @@ def test_property_lapack_matches_reference(batch, k, seed, lam):
         rtol=1e-10,
         atol=1e-10,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(min_value=1, max_value=24),
+    k=st.one_of(st.just(1), st.integers(min_value=16, max_value=64)),
+    seed=st.integers(min_value=0, max_value=2**31),
+    lam=st.floats(min_value=1e-4, max_value=10.0),
+    cuts=st.lists(st.integers(min_value=0, max_value=24), max_size=4),
+)
+def test_property_solve_is_batch_invariant(batch, k, seed, lam, cuts):
+    """A system's answer depends on that system alone, bit for bit.
+
+    ``workers=N`` shards split a sweep's solve groups into contiguous
+    row ranges of any size, so every split of a stack, and every system
+    solved on its own, must give the whole-stack answer exactly.
+    """
+    A, b = spd_stack(np.random.default_rng(seed), batch, k, lam)
+    whole = batched_lapack_solve(A, b)
+    edges = [0, *sorted({min(c, batch) for c in cuts}), batch]
+    parts = [
+        batched_lapack_solve(A[lo:hi], b[lo:hi])
+        for lo, hi in zip(edges[:-1], edges[1:])
+        if hi > lo
+    ]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+    for i in range(batch):
+        np.testing.assert_array_equal(
+            batched_lapack_solve(A[i:i + 1], b[i:i + 1])[0], whole[i]
+        )

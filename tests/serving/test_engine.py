@@ -456,6 +456,29 @@ class TestExclusionKeyCache:
         finite = np.isfinite(ref_scores)
         assert np.array_equal(got.scores[finite], ref_scores[finite])
 
+    @pytest.mark.parametrize("tile_bytes", [1024, None])
+    def test_unsorted_row_past_the_bootstrap_slice(self, tile_bytes):
+        """A row stored as columns [150, 3]: the tiled bootstrap reads its
+        in-slice columns from the sorted keys, not from ``col_idx``."""
+        rng = np.random.default_rng(5)
+        m, n_items, k = 3, 200, 4
+        X = rng.integers(-3, 4, size=(m, k)).astype(np.float64)
+        Y = rng.integers(-3, 4, size=(n_items, k)).astype(np.float64)
+        R = CSRMatrix(
+            (m, n_items),
+            np.ones(3, dtype=np.float32),
+            np.array([150, 3, 7]),
+            np.array([0, 2, 2, 3]),
+        )
+        engine = TopNEngine(X, Y, tile_bytes=tile_bytes)
+        assert (engine.tile_items(m) < n_items) == (tile_bytes is not None)
+        users = np.arange(m)
+        ref_ids, ref_scores = full_sort_reference(X, Y, users, 5, R)
+        got = engine.query(users, n=5, exclude=R)
+        assert np.array_equal(got.items, ref_ids)
+        finite = np.isfinite(ref_scores)
+        assert np.array_equal(got.scores[finite], ref_scores[finite])
+
     def test_int64_keys_when_product_overflows_int32(self):
         rng = np.random.default_rng(4)
         n_items, k = 50_000, 3
