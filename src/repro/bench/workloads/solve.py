@@ -108,10 +108,12 @@ def run_benchmark(
     )
     with SweepExecutor("auto") as executor:
         workers = executor.workers
+        # Untimed warm-up, as on the serial side: the first call builds
+        # the shards' lane plans.
+        X_parallel = executor.half_sweep(R, Y, 0.1, solver="lapack")
         parallel_seconds = _best_of(
             lambda: executor.half_sweep(R, Y, 0.1, solver="lapack"), repeats
         )
-        X_parallel = executor.half_sweep(R, Y, 0.1, solver="lapack")
     bitwise = bool(np.array_equal(X_serial, X_parallel))
     sweep_speedup = serial_seconds / parallel_seconds
     print(f"  sweep workers=1   : {serial_seconds:8.3f} s", flush=True)

@@ -32,6 +32,7 @@ from repro.linalg.normal_equations import ASSEMBLY, ASSEMBLY_DTYPE, TILE_NNZ
 from repro.linalg.solvers import SOLVER
 from repro.parallel.executor import WORKERS, SweepExecutor
 from repro.obs import metrics as obs_metrics
+from repro.obs.resource import minor_faults
 from repro.obs.spans import span
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
@@ -270,7 +271,8 @@ def _train(
         iterations=config.iterations,
         nnz=R_rows.nnz,
         out_of_core=R_cols is not None,
-    ):
+    ) as train_span:
+        faults = minor_faults()
         with span("als.build_views"):
             if R_cols is None:
                 R_cols = CSCMatrix.from_csr(R_rows).transpose_as_csr()
@@ -346,6 +348,10 @@ def _train(
                     prev, cur = history[-2].loss, history[-1].loss
                     if prev > 0 and (prev - cur) / prev < config.tol:
                         break
+        if faults is not None:
+            # Pages the fit mapped afresh: the allocator churn that
+            # shows in train_s and peak RSS without a name of its own.
+            train_span.set(minor_faults=minor_faults() - faults)
         return objective.model(X=X, Y=Y, config=config, history=history)
 
 

@@ -63,7 +63,10 @@ def sweep_occupied(
     ``(Y_Ω Y_Ωᵀ + ρI) α = r`` and returns ``x = Y_Ωᵀ α``
     (:func:`~repro.linalg.normal_equations.binned_solve_groups`); the
     dual systems solve in a few width groups, each one S3 span with
-    ``form="dual"``.  Scatter assembly keeps every row primal.
+    ``form="dual"``.  The groups stream: each is assembled in its own S1
+    span, solved, written into ``X_rows`` and freed before the next is
+    assembled, so a sweep holds one group's systems at a time.  Scatter
+    assembly keeps every row primal.
 
     ``implicit_alpha`` switches to the implicit-feedback (Hu–Koren)
     update: the assembly computes the confidence-weighted correction
@@ -188,6 +191,8 @@ def sweep_occupied(
             if g.form == "dual":
                 obs_metrics.inc("als.sweep.dual_rows", g.rows.size)
             X_rows[g.rows] = g.factors(solve(g.A, g.b))
+        # Free the solved group before the generator assembles the next.
+        del g
     return rows, X_rows
 
 

@@ -55,6 +55,7 @@ same S1/S2/S3 decomposition; the binned S1 span carries
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -577,7 +578,7 @@ def binned_solve_groups(
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
     rhs_nnz_value: np.ndarray | None = None,
-) -> list[SolveGroup]:
+) -> Iterator[SolveGroup]:
     """The explicit ALS systems of every occupied row, each in its smaller form.
 
     For a row with ``n`` ratings ``(Y_ΩᵀY_Ω + ρI)⁻¹ Y_Ωᵀ r =
@@ -592,46 +593,74 @@ def binned_solve_groups(
 
     ``ridge`` is ``ρ``: a scalar, or one value per row of ``R`` (ALS-WR's
     ``λ·|Ω_u|``).  ``rhs_nnz_value`` replaces the stored values as ``r``
-    (a subspace block's residual targets).  One S1 span covers every
-    group's assembly.
+    (a subspace block's residual targets).
+
+    A generator: each group is assembled only when the consumer asks for
+    it (the primal group first, then the dual widths ascending), inside
+    its own S1 span whose ``nnz`` counts the group's ratings; the first
+    span also reads the lane plan, which builds it on a matrix's first
+    sweep.  Nothing here keeps a yielded group, so a consumer that
+    solves a group and drops it before asking for the next holds one
+    group's systems and gathers at a time, not the whole shard's.
     """
     tile = TILE_NNZ.resolve(tile_nnz)
     Yz, _ = _compute_operand(R, Y, compute_dtype)
     k = Yz.shape[1]
     rvals = _rhs_values(R, rhs_nnz_value)
-    groups: list[SolveGroup] = []
-    with span(
-        "als.s1.gram", stage="S1", nnz=R.nnz, k=k, mode="binned", rhs_fused=True
-    ) as s1:
-        plan = R.lane_plan(DEFAULT_BIN_GROWTH)
-        s1.set(bins=len(plan))
-        by_width: dict[int, list[BinLanes]] = {}
-        for lanes in plan:
-            by_width.setdefault(dual_width(lanes.bin.width, k), []).append(lanes)
-        for width, group in sorted(by_width.items()):
-            rows = np.concatenate([lanes.bin.rows for lanes in group])
-            size = width or k
-            A = np.zeros((rows.size, size, size), dtype=np.float64)
-            b = np.zeros((rows.size, size), dtype=np.float64)
-            edges = np.cumsum([0] + [lanes.bin.rows.size for lanes in group])
-            spans = list(zip(edges[:-1], edges[1:]))
-            if width:
-                parts = tuple(
-                    (slice(lo, hi), _dual_block(Yz, lanes, rvals, A[lo:hi], b[lo:hi]))
-                    for lanes, (lo, hi) in zip(group, spans)
+    ridge = np.broadcast_to(ridge, (R.nrows,))
+    widths = None  # the group widths still to assemble, largest first
+    while widths is None or widths:
+        with span(
+            "als.s1.gram", stage="S1", k=k, mode="binned", rhs_fused=True
+        ) as s1:
+            plan = R.lane_plan(DEFAULT_BIN_GROWTH)
+            if widths is None:
+                widths = sorted(
+                    {dual_width(lanes.bin.width, k) for lanes in plan}, reverse=True
                 )
-            else:
-                outs = [np.arange(lo, hi) for lo, hi in spans]
-                _record_tiles(len(plan), *_gram_tiles(
-                    Yz, group, outs, A, b, rvals, None, tile
-                ))
-                parts = ()
-            diag = _diag(size)
-            A[:, diag, diag] += np.broadcast_to(ridge, (R.nrows,))[rows, None]
-            groups.append(
-                SolveGroup("dual" if width else "primal", rows, A, b, parts)
-            )
-    return groups
+                if not widths:
+                    return
+            width = widths.pop()
+            bins = [lanes for lanes in plan if dual_width(lanes.bin.width, k) == width]
+            if is_enabled():
+                s1.set(nnz=sum(lanes.bin.nnz for lanes in bins), bins=len(bins))
+            group = _assemble_group(Yz, bins, width, rvals, ridge, tile, len(plan))
+        yield group
+        del group  # the consumer now holds the only reference
+
+
+def _assemble_group(
+    Yz: np.ndarray,
+    bins: list[BinLanes],
+    width: int,
+    rvals: np.ndarray,
+    ridge: np.ndarray,
+    tile: int,
+    plan_bins: int,
+) -> SolveGroup:
+    """The :class:`SolveGroup` of ``bins``: dual systems padded to
+    ``width``, or the primal k×k ones when ``width`` is 0.  ``plan_bins``
+    is the whole plan's bin count, for the ``assembly.bins`` gauge."""
+    rows = np.concatenate([lanes.bin.rows for lanes in bins])
+    size = width or Yz.shape[1]
+    A = np.zeros((rows.size, size, size), dtype=np.float64)
+    b = np.zeros((rows.size, size), dtype=np.float64)
+    edges = np.cumsum([0] + [lanes.bin.rows.size for lanes in bins])
+    spans = list(zip(edges[:-1], edges[1:]))
+    if width:
+        parts = tuple(
+            (slice(lo, hi), _dual_block(Yz, lanes, rvals, A[lo:hi], b[lo:hi]))
+            for lanes, (lo, hi) in zip(bins, spans)
+        )
+    else:
+        outs = [np.arange(lo, hi) for lo, hi in spans]
+        _record_tiles(
+            plan_bins, *_gram_tiles(Yz, bins, outs, A, b, rvals, None, tile)
+        )
+        parts = ()
+    diag = _diag(size)
+    A[:, diag, diag] += ridge[rows, None]
+    return SolveGroup("dual" if width else "primal", rows, A, b, parts)
 
 
 def _dual_block(

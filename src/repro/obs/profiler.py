@@ -59,6 +59,15 @@ class ProfileReport:
         """Measured wall-clock of the root training span."""
         return sum(r.duration for r in self.records if r.name == "als.train")
 
+    @property
+    def train_minor_faults(self) -> int | None:
+        """Minor page faults the root training span took (``None``: unread)."""
+        faults = [
+            r.attrs["minor_faults"] for r in self.records
+            if r.name == "als.train" and "minor_faults" in r.attrs
+        ]
+        return sum(faults) if faults else None
+
     def write_trace(self, path: str | os.PathLike) -> None:
         """Merged Perfetto trace: host spans + simulated queue (if any)."""
         queues = (self.sim_queue,) if self.sim_queue is not None else ()
@@ -181,6 +190,8 @@ def render_report(report: ProfileReport, top: int = 10) -> str:
         f"lam={report.config.lam} iterations={report.config.iterations}",
         f"measured training wall-clock: {report.train_seconds:.3f} s",
     ]
+    if report.train_minor_faults is not None:
+        lines[-1] += f"  minor page faults: {report.train_minor_faults}"
     if report.model.history:
         last = report.model.history[-1]
         if last.train_rmse is not None:

@@ -10,6 +10,9 @@ and records them into the metrics registry:
 * ``proc.peak_rss_bytes`` (gauge) — the kernel's high-water mark
   (``VmHWM``, else ``ru_maxrss``), which catches spikes between samples,
 * ``proc.cpu_seconds`` (gauge) — user+system CPU time,
+* ``proc.minor_faults`` (gauge) — minor page faults so far
+  (``ru_minflt``): each is a first touch of a fresh page, so the count
+  shows how much memory the process keeps mapping anew,
 * ``proc.samples`` (counter), and
 * ``proc.rss.sampled_bytes`` (summary histogram) — the sampled RSS
   distribution over the run (min/mean/max).
@@ -38,6 +41,7 @@ __all__ = [
     "rss_bytes",
     "peak_rss_bytes",
     "cpu_seconds",
+    "minor_faults",
 ]
 
 _STATM_PATH = "/proc/self/statm"
@@ -91,6 +95,13 @@ def cpu_seconds() -> float:
     return t.user + t.system
 
 
+def minor_faults() -> int | None:
+    """Minor page faults this process has taken (``None`` when unknown)."""
+    if _resource is None:  # pragma: no cover - non-Unix platforms
+        return None
+    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_minflt)
+
+
 class ResourceSampler:
     """Daemon thread recording RSS / peak-RSS / CPU gauges at an interval.
 
@@ -136,6 +147,10 @@ class ResourceSampler:
         cpu = cpu_seconds()
         reg.gauge("proc.cpu_seconds").set(cpu)
         recorded["proc.cpu_seconds"] = cpu
+        faults = minor_faults()
+        if faults is not None:
+            reg.gauge("proc.minor_faults").set(faults)
+            recorded["proc.minor_faults"] = float(faults)
         reg.counter("proc.samples").inc()
         return recorded
 

@@ -256,6 +256,7 @@ class CSRMatrix:
         "_lane_plans",
         "_occupied_sub",
         "_row_shards",
+        "__weakref__",
     )
 
     def __init__(
@@ -302,7 +303,10 @@ class CSRMatrix:
         self._expanded_rows: np.ndarray | None = None
         self._degree_bins: dict[float, tuple[DegreeBin, ...]] = {}
         self._lane_plans: dict[float, tuple[BinLanes, ...]] = {}
-        self._occupied_sub: tuple[np.ndarray, "CSRMatrix"] | None = None
+        # (rows, None) when every row is occupied: caching ``self`` there
+        # would be a reference cycle that keeps the matrix, its lane
+        # plans and its shards alive until a full garbage collection.
+        self._occupied_sub: tuple[np.ndarray, "CSRMatrix | None"] | None = None
         self._row_shards: dict[int, tuple[RowShard, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -572,13 +576,11 @@ class CSRMatrix:
         if self._occupied_sub is None:
             lengths = self.row_lengths()
             rows = np.nonzero(lengths > 0)[0]
-            if rows.size == self.nrows:
-                sub = self
-            else:
-                sub = self.take_rows(rows)
+            sub = None if rows.size == self.nrows else self.take_rows(rows)
             rows.setflags(write=False)
             self._occupied_sub = (rows, sub)
-        return self._occupied_sub
+        rows, sub = self._occupied_sub
+        return rows, self if sub is None else sub
 
     def row_shards(self, nparts: int) -> tuple[RowShard, ...]:
         """Occupied rows split into ``nparts`` nnz-balanced CSR shards.

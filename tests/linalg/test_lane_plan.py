@@ -192,8 +192,8 @@ class TestLanePlan:
             binned_normal_equations(R, Y, 0.1, nnz_weight=w, rhs_nnz_value=w)
         sub = R.occupied_submatrix()[1]
         assert sub is not R
-        binned_solve_groups(sub, Y, 0.1)
-        binned_solve_groups(sub, Y, 0.1)
+        list(binned_solve_groups(sub, Y, 0.1))
+        list(binned_solve_groups(sub, Y, 0.1))
         assert built == [(R.nnz, R.ncols), (sub.nnz, sub.ncols)]
 
     def test_executor_shards_build_their_own_plan_once(self, R, monkeypatch):

@@ -42,6 +42,13 @@ class TestProfileTraining:
         out = render_report(report)
         assert "Measured hotspot breakdown" in out
         assert "simulated on NVIDIA Tesla K20c" in out
+        assert f"minor page faults: {report.train_minor_faults}" in out
+
+    def test_train_span_carries_the_fits_minor_faults(self, report):
+        (train,) = [r for r in report.records if r.name == "als.train"]
+        assert isinstance(train.attrs["minor_faults"], int)
+        assert train.attrs["minor_faults"] >= 0
+        assert report.train_minor_faults == train.attrs["minor_faults"]
 
     def test_merged_trace_file(self, report, tmp_path):
         path = tmp_path / "trace.json"

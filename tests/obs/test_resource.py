@@ -13,7 +13,13 @@ import pytest
 
 import repro
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.resource import ResourceSampler, cpu_seconds, peak_rss_bytes, rss_bytes
+from repro.obs.resource import (
+    ResourceSampler,
+    cpu_seconds,
+    minor_faults,
+    peak_rss_bytes,
+    rss_bytes,
+)
 
 
 class TestReaders:
@@ -37,6 +43,17 @@ class TestReaders:
         if rss is not None and peak is not None:
             assert peak >= rss // 2
 
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no rusage")
+    def test_minor_faults_count_first_touches(self):
+        before = minor_faults()
+        # 64 MiB is above glibc's largest mmap threshold, so the block
+        # is freshly mapped and every page is touched for the first time
+        # (at least 32 faults even if the kernel backs it by 2 MiB pages).
+        block = np.ones(8 << 20)
+        after = minor_faults()
+        assert block[-1] == 1.0
+        assert 0 <= before and after - before >= 32
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="VmHWM needs /proc"
@@ -80,6 +97,8 @@ class TestSampler:
         assert "proc.cpu_seconds" in recorded
         assert snap["gauges"]["proc.cpu_seconds"] == recorded["proc.cpu_seconds"]
         assert snap["counters"]["proc.samples"] == 1
+        if "proc.minor_faults" in recorded:  # Unix
+            assert snap["gauges"]["proc.minor_faults"] == recorded["proc.minor_faults"]
         if "proc.rss_bytes" in recorded:  # Linux with /proc
             assert snap["histograms"]["proc.rss.sampled_bytes"]["count"] == 1
 
