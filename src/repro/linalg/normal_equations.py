@@ -560,10 +560,12 @@ def dual_width(width: int, k: int) -> int:
     """The solve width of a dual system over ``width`` ratings, or 0.
 
     A bin narrower than ``k`` takes the dual form.  Its systems pad to
-    the next multiple of :data:`DUAL_PAD` (capped at ``k``) so that the
-    dual bins share few widths: every dual row of a sweep solves in at
-    most ``ceil(k / 16)`` S3 calls, and each call's fixed cost is paid
-    over many rows.  A padded lane holds only the ridge and solves to 0.
+    the next multiple of :data:`DUAL_PAD` (capped at ``k``).  The solved
+    width is part of the arithmetic (an LU over another width may round
+    differently), so the padding fixes each row's answer bits.  Each dual
+    bin is a solve group of its own: one S3 call per bin, and a sweep
+    holds one bin's systems and gather at a time.  A padded lane holds
+    only the ridge and solves to 0.
     """
     if width >= k:
         return 0
@@ -584,44 +586,49 @@ def binned_solve_groups(
     For a row with ``n`` ratings ``(Y_ΩᵀY_Ω + ρI)⁻¹ Y_Ωᵀ r =
     Y_Ωᵀ (Y_Ω Y_Ωᵀ + ρI)⁻¹ r``: the left side is a k×k system, the right
     an n×n one with the same nonzero spectrum.  Bins at least ``k`` wide
-    are assembled by the primal binned kernel into one group; narrower
-    bins assemble ``G Gᵀ`` from their gather ``G``, which is kept for the
-    back-projection, in groups by :func:`dual_width`.  The choice
-    depends only on a row's degree bin (a fixed grid) and ``k``, so any
-    row split of ``R`` puts every row in the same form and solves it
-    identically.
+    are assembled by the primal binned kernel into one group; each
+    narrower bin assembles ``G Gᵀ`` from its gather ``G``, which is kept
+    for the back-projection, padded to :func:`dual_width`, as a group of
+    its own.  The choice depends only on a row's degree bin (a fixed
+    grid) and ``k``, so any row split of ``R`` puts every row in the same
+    form and solves it identically.
 
     ``ridge`` is ``ρ``: a scalar, or one value per row of ``R`` (ALS-WR's
     ``λ·|Ω_u|``).  ``rhs_nnz_value`` replaces the stored values as ``r``
     (a subspace block's residual targets).
 
     A generator: each group is assembled only when the consumer asks for
-    it (the primal group first, then the dual widths ascending), inside
-    its own S1 span whose ``nnz`` counts the group's ratings; the first
-    span also reads the lane plan, which builds it on a matrix's first
-    sweep.  Nothing here keeps a yielded group, so a consumer that
+    it (the primal group first, then the dual bins by width ascending),
+    inside its own S1 span whose ``nnz`` counts the group's ratings; the
+    first span also reads the lane plan, which builds it on a matrix's
+    first sweep.  Nothing here keeps a yielded group, so a consumer that
     solves a group and drops it before asking for the next holds one
-    group's systems and gathers at a time, not the whole shard's.
+    group's systems and gathers at a time — for a dual group one bin's
+    ``K`` and ``G`` — not the whole shard's.  Solving a system never
+    depends on its batch, so how the rows split into groups leaves the
+    factors bitwise unchanged.
     """
     tile = TILE_NNZ.resolve(tile_nnz)
     Yz, _ = _compute_operand(R, Y, compute_dtype)
     k = Yz.shape[1]
     rvals = _rhs_values(R, rhs_nnz_value)
     ridge = np.broadcast_to(ridge, (R.nrows,))
-    widths = None  # the group widths still to assemble, largest first
-    while widths is None or widths:
+    todo = None  # (width, bins) of the groups still to assemble, next last
+    while todo is None or todo:
         with span(
             "als.s1.gram", stage="S1", k=k, mode="binned", rhs_fused=True
         ) as s1:
             plan = R.lane_plan(DEFAULT_BIN_GROWTH)
-            if widths is None:
-                widths = sorted(
-                    {dual_width(lanes.bin.width, k) for lanes in plan}, reverse=True
-                )
-                if not widths:
+            if todo is None:
+                widths = [dual_width(lanes.bin.width, k) for lanes in plan]
+                # The plan ascends by bin width, and so does dual_width.
+                todo = [(w, [lanes]) for lanes, w in zip(plan, widths) if w][::-1]
+                primal = [lanes for lanes, w in zip(plan, widths) if not w]
+                if primal:
+                    todo.append((0, primal))  # assembled first
+                if not todo:
                     return
-            width = widths.pop()
-            bins = [lanes for lanes in plan if dual_width(lanes.bin.width, k) == width]
+            width, bins = todo.pop()
             if is_enabled():
                 s1.set(nnz=sum(lanes.bin.nnz for lanes in bins), bins=len(bins))
             group = _assemble_group(Yz, bins, width, rvals, ridge, tile, len(plan))

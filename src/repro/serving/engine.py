@@ -21,10 +21,13 @@ query path:
   against the candidates carried from earlier tiles, so the engine
   never holds more than ``(block, tile)`` scores plus ``(block, 2N)``
   merge candidates.
-* **Vectorized exclusion.**  Seen items come straight from the CSR
-  ``row_ptr``/``col_idx`` arrays: one ``repeat`` builds the (user-row,
-  item) pairs for the whole block, and each tile masks its column range
-  with a single boolean slice — no per-user Python loop.
+* **Vectorized exclusion.**  A whole-catalog block writes ``-inf``
+  over its seen items straight from the exclusion rows (the CSR
+  ``col_idx`` slices, one ``repeat`` for the whole block) — a scatter,
+  so the order of columns within a row does not matter.  A tiled block
+  masks its bootstrap slice and drops seen candidates by binary search
+  against sorted ``user·n_items + item`` keys, built once per
+  exclusion matrix on the first tiled query — no per-user Python loop.
 * **Deterministic ties.**  Candidates are ordered by ``(score desc,
   item id asc)`` — a total order, so the tiled result is *identical*
   to a naive full-sort reference for every tile size, including exact
@@ -53,7 +56,7 @@ import numpy as np
 from repro.knobs import Knob, at_least
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
-from repro.sparse.csr import CSRMatrix, splice_rows
+from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "PAD_ITEM",
@@ -194,9 +197,11 @@ def _select_topn(S: np.ndarray, n: int) -> np.ndarray:
     if flat.size == B * n:
         # Every row holds exactly n iff each row's first and last slot
         # land in that row; the flat list is row-major, so the slots
-        # between them do too.
-        ends = flat.reshape(B, n)[:, [0, -1]] // w
-        if (ends == np.arange(B)[:, None]).all():
+        # between them do too.  A single row holds them all.
+        if B == 1:
+            return flat.reshape(1, n)
+        lo = np.arange(0, B * w, w)
+        if (flat[::n] >= lo).all() and (flat[n - 1 :: n] < lo + w).all():
             return (flat % w).reshape(B, n)
     counts = np.count_nonzero(above, axis=1)
     if (counts < n).any():
@@ -265,10 +270,11 @@ class TopNEngine:
 
         self.workers = resolve_workers(workers)
         self.peak_tile_bytes = 0
-        # Single-slot exclusion-key cache: steady-state serving queries
-        # the same CSR every request, so the sorted (user·n + item) key
-        # array is built once and reused until the exclusion changes
+        # Single-slot exclusion-key cache for tiled queries, which search
+        # the sorted (user·n + item) keys: built on the first tiled query
+        # against a CSR and reused until the exclusion changes
         # (identity-keyed; the strong reference keeps ids unambiguous).
+        # Whole-catalog blocks read the exclusion rows and never build it.
         self._excl_cache: tuple[CSRMatrix, np.ndarray, type] | None = None
 
     @classmethod
@@ -277,10 +283,7 @@ class TopNEngine:
         return cls(model.X, model.Y, **kwargs)
 
     def derive(
-        self,
-        X_rows: np.ndarray,
-        rows: np.ndarray | None = None,
-        exclude: CSRMatrix | None = None,
+        self, X_rows: np.ndarray, rows: np.ndarray | None = None
     ) -> "TopNEngine":
         """A new engine with some user rows changed; this one is untouched.
 
@@ -288,13 +291,9 @@ class TopNEngine:
         otherwise ``X_rows[i]`` replaces user ``rows[i]`` (a rating
         update; ``rows`` ascending).  The configuration and the cast
         ``Y`` are shared, and only the given rows are cast and checked
-        for finiteness.  ``exclude`` is the exclusion matrix after the
-        change; it must equal the one whose keys this engine caches
-        except in the changed rows.  Those keys are extended (a fold-in's
-        keys exceed every existing key) or spliced rather than rebuilt,
-        unless a fold-in takes the key space past int32, where they are
-        built afresh.  The result holds what a fresh engine over the
-        changed factors, with ``exclude`` attached, would hold.
+        for finiteness.  The result holds what a fresh engine over the
+        changed factors would hold; like a fresh engine it has no
+        exclusion keys until a tiled query builds them.
         """
         X_rows = np.ascontiguousarray(X_rows, dtype=self.dtype)
         if X_rows.ndim != 2 or X_rows.shape[1] != self._X.shape[1]:
@@ -317,42 +316,7 @@ class TopNEngine:
             engine._X = self._X.copy()
             engine._X[rows] = X_rows
         engine._excl_cache = None
-        if isinstance(exclude, CSRMatrix):
-            keys = self._derived_keys(exclude, rows)
-            if keys is None:
-                engine._exclusion_keys(exclude)
-            else:
-                engine._excl_cache = (exclude, keys, self._excl_cache[2])
         return engine
-
-    def _derived_keys(
-        self, exclude: CSRMatrix, rows: np.ndarray | None
-    ) -> np.ndarray | None:
-        """The exclusion keys of ``exclude`` from this engine's cached
-        keys (see :meth:`derive`), or ``None`` when they must be built."""
-        if self._excl_cache is None:
-            return None
-        old, keys, kd = self._excl_cache
-        n = kd(self.n_items)
-        if rows is None:
-            if kd is np.int32 and exclude.nrows * self.n_items >= 2**31:
-                return None
-            first = np.arange(old.nrows, exclude.nrows, dtype=kd)
-            lengths = np.diff(exclude.row_ptr[old.nrows:])
-            new = np.repeat(first, lengths) * n
-            new += exclude.col_idx[old.nnz:].astype(kd)
-        else:
-            sub = exclude.take_rows(rows)
-            new = np.repeat(np.asarray(rows).astype(kd), sub.row_lengths()) * n
-            new += sub.col_idx.astype(kd)
-        if new.size > 1 and np.any(new[:-1] >= new[1:]):
-            new.sort()  # unsorted columns within a row, as at build
-        if rows is None:
-            out = np.concatenate([keys, new])
-        else:
-            out = splice_rows(keys, old.row_ptr, rows, new, sub.row_ptr)
-        out.setflags(write=False)
-        return out
 
     @property
     def n_items(self) -> int:
@@ -379,10 +343,10 @@ class TopNEngine:
     def attach_exclusion(self, exclude: CSRMatrix | None) -> None:
         """Pre-build (or drop, with ``None``) the cached exclusion keys.
 
-        ``query()`` builds the cache lazily on first use, so this is an
-        optional warm-up/invalidation hook for long-lived services: call
-        it after fold-in or a model hot-swap hands the engine a new
-        exclusion matrix, and the first post-swap request pays nothing.
+        A tiled ``query()`` (a block wider than the tile budget) builds
+        the cache lazily on first use, so this is an optional warm-up or
+        invalidation hook for callers that run tiled queries against one
+        exclusion matrix.  Request-sized blocks never read the keys.
         """
         self._excl_cache = None
         if isinstance(exclude, CSRMatrix):
@@ -393,13 +357,13 @@ class TopNEngine:
     ) -> tuple[np.ndarray, type]:
         """Sorted global ``user·n_items + item`` keys of the exclusion CSR.
 
-        One flat array over *all* exclusion rows replaces the per-query
-        ``_seen_pairs`` repeat+gather: each user's entries occupy the
-        contiguous slice ``row_ptr[u]:row_ptr[u+1]`` and keys ascend
-        globally (columns ascend within a CSR row), so both the
-        bootstrap prefix and the per-tile candidate filter reduce to
-        ``searchsorted`` against this one array.  Cached by identity —
-        rebuilding is O(nnz), reuse is free.
+        On the tiled path one flat array over *all* exclusion rows
+        replaces a per-query ``_seen_pairs`` gather: each user's entries
+        occupy the contiguous slice ``row_ptr[u]:row_ptr[u+1]`` and keys
+        ascend globally (sorted at build), so both the bootstrap prefix
+        and the per-tile candidate filter reduce to ``searchsorted``
+        against this one array.  Cached by identity — rebuilding is
+        O(nnz), reuse is free.
         """
         cached = self._excl_cache
         if cached is not None and cached[0] is exclude:
@@ -431,66 +395,82 @@ class TopNEngine:
         ``n`` is clamped to the catalog size; users with fewer than
         ``n`` recommendable items get :data:`PAD_ITEM`-padded rows.
         """
-        users = np.asarray(users, dtype=np.int64)
-        if users.ndim != 1:
-            raise ValueError("users must be a 1-D index array")
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if users.size and (users.min() < 0 or users.max() >= self.n_users):
-            raise IndexError(f"user index out of range for {self.n_users} users")
-        if exclude is not None and exclude.shape[1] != self.n_items:
-            raise ValueError("exclude matrix item dimension mismatch")
-        n = min(int(n), self.n_items)
+        # The span times the whole call: argument checks, every block
+        # and the metrics below.
         enabled = is_enabled()
         t_start = perf_counter()
         with span(
             "serve.topn",
-            users=int(users.size),
-            n=n,
             tile_bytes=self.tile_bytes,
             dtype=self.dtype_name,
             workers=self.workers,
-        ):
-            blocks = [
-                (lo, min(lo + self.user_block, users.size))
-                for lo in range(0, users.size, self.user_block)
-            ]
-            items = np.full((users.size, n), PAD_ITEM, dtype=np.int64)
-            scores = np.full((users.size, n), -np.inf, dtype=np.float64)
-
-            def run_block(bounds: tuple[int, int]) -> None:
-                lo, hi = bounds
-                block_users = users[lo:hi]
-                b_items, b_scores = self._block_topn(
-                    self._X[block_users], n, block_users, exclude
-                )
-                items[lo:hi] = b_items
-                scores[lo:hi] = b_scores
-
-            if self.workers > 1 and len(blocks) > 1:
-                from repro.parallel import SweepExecutor
-
-                with SweepExecutor(self.workers) as executor:
-                    executor.map(run_block, blocks)
+        ) as sp:
+            users = np.asarray(users, dtype=np.int64)
+            if users.ndim != 1:
+                raise ValueError("users must be a 1-D index array")
+            if n <= 0:
+                raise ValueError("n must be positive")
+            if exclude is not None and exclude.shape[1] != self.n_items:
+                raise ValueError("exclude matrix item dimension mismatch")
+            if users.size:
+                lo, hi = int(users.min()), int(users.max())
+                if lo < 0 or hi >= self.n_users:
+                    raise IndexError(
+                        f"user index out of range for {self.n_users} users"
+                    )
+                if exclude is not None and hi >= exclude.nrows:
+                    raise IndexError("exclusion row out of range")
+            n = min(int(n), self.n_items)
+            sp.set(users=int(users.size), n=n)
+            if 0 < users.size <= self.user_block:
+                items, scores = self._block_topn(self._X[users], n, users, exclude)
             else:
-                for bounds in blocks:
-                    run_block(bounds)
-        if enabled:
-            seconds = perf_counter() - t_start
-            obs_metrics.inc("serve.topn.queries")
-            obs_metrics.inc("serve.topn.users", float(users.size))
-            obs_metrics.set_gauge("serve.peak_tile_bytes", self.peak_tile_bytes)
-            # Per-query latency goes into both histogram flavors: the
-            # summary for BENCH reports, the quantile sketch for the
-            # p50/p95/p99 a metrics endpoint scrape reports.
-            obs_metrics.observe_latency("serve.topn.seconds", seconds)
-            if seconds > 0:
-                ups = users.size / seconds
-                # The gauge is last-write-wins; the histogram keeps the
-                # whole multi-batch distribution (min/mean/max).
-                obs_metrics.set_gauge("serve.users_per_sec", ups)
-                obs_metrics.observe("serve.users_per_sec", ups)
-        return TopNResult(items=items, scores=scores)
+                items, scores = self._blocked_topn(users, n, exclude)
+            if enabled:
+                seconds = perf_counter() - t_start
+                obs_metrics.inc("serve.topn.queries")
+                obs_metrics.inc("serve.topn.users", float(users.size))
+                obs_metrics.set_gauge("serve.peak_tile_bytes", self.peak_tile_bytes)
+                # Per-query latency goes into both histogram flavors: the
+                # summary for BENCH reports, the quantile sketch for the
+                # p50/p95/p99 a metrics endpoint scrape reports.
+                obs_metrics.observe_latency("serve.topn.seconds", seconds)
+                if seconds > 0:
+                    ups = users.size / seconds
+                    # The gauge is last-write-wins; the histogram keeps the
+                    # whole multi-batch distribution (min/mean/max).
+                    obs_metrics.set_gauge("serve.users_per_sec", ups)
+                    obs_metrics.observe("serve.users_per_sec", ups)
+            result = TopNResult(items=items, scores=scores)
+        return result
+
+    def _blocked_topn(
+        self, users: np.ndarray, n: int, exclude: CSRMatrix | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``n`` of more users than one block, block by block."""
+        blocks = [
+            (lo, min(lo + self.user_block, users.size))
+            for lo in range(0, users.size, self.user_block)
+        ]
+        items = np.full((users.size, n), PAD_ITEM, dtype=np.int64)
+        scores = np.full((users.size, n), -np.inf, dtype=np.float64)
+
+        def run_block(bounds: tuple[int, int]) -> None:
+            lo, hi = bounds
+            block_users = users[lo:hi]
+            items[lo:hi], scores[lo:hi] = self._block_topn(
+                self._X[block_users], n, block_users, exclude
+            )
+
+        if self.workers > 1 and len(blocks) > 1:
+            from repro.parallel import SweepExecutor
+
+            with SweepExecutor(self.workers) as executor:
+                executor.map(run_block, blocks)
+        else:
+            for bounds in blocks:
+                run_block(bounds)
+        return items, scores
 
     def query_scores(
         self,
@@ -523,18 +503,13 @@ class TopNEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         B = Xb.shape[0]
         tile = self.tile_items(B)
-        # Bootstrap: exact selection over a leading slice seeds the
-        # per-user running top-N.  When the whole (B, n_items) block fits
-        # the budget the slice is the whole catalog — one GEMM, one
-        # exclusion scatter, one selection, no tiles and no merges, which
-        # is what every request-sized block takes.  Otherwise the slice
-        # is narrow: exact selection costs a few passes per element, so
-        # paying it on O(n) items lets every later tile get away with a
-        # single comparison against the running threshold.
         if tile >= self.n_items:
-            w0 = self.n_items
-        else:
-            w0 = min(tile, max(64, 4 * n))
+            return self._whole_block_topn(Xb, n, block_users, exclude)
+        # Bootstrap: exact selection over a narrow leading slice seeds
+        # the per-user running top-N.  Exact selection costs a few passes
+        # per element, so paying it on O(n) items lets every later tile
+        # get away with a single comparison against the running threshold.
+        w0 = min(tile, max(64, 4 * n))
         # Exclusion comes in two flavors.  A CSRMatrix uses the cached
         # global sorted keys (built once per exclusion matrix, reused
         # across queries): bootstrap entries are the per-user key prefix
@@ -550,10 +525,6 @@ class TopNEngine:
         key_dtype: type = np.int64
         boot_rows = boot_cols = None
         if exclude is not None:
-            if block_users.size and (
-                block_users.min() < 0 or block_users.max() >= exclude.nrows
-            ):
-                raise IndexError("exclusion row out of range")
             if isinstance(exclude, CSRMatrix):
                 keys_all, kd = self._exclusion_keys(exclude)
                 if keys_all.size:
@@ -622,10 +593,9 @@ class TopNEngine:
         # (score desc, id asc) order an exact tie loses.  That makes one
         # `S > thresh` comparison the whole per-tile filter.
         thresh = best_scores[:, -1].copy()
-        if w0 < self.n_items:
-            score_buf = np.empty((B, tile), dtype=self.dtype)
-            mask_buf = np.empty((B, tile), dtype=bool)
-            peak = max(peak, score_buf.nbytes + mask_buf.nbytes)
+        score_buf = np.empty((B, tile), dtype=self.dtype)
+        mask_buf = np.empty((B, tile), dtype=bool)
+        peak = max(peak, score_buf.nbytes + mask_buf.nbytes)
         # Tiles grow geometrically from the bootstrap width up to the
         # budgeted width: the filter threshold is frozen within a tile,
         # so keeping each tile no wider than the prefix it follows bounds
@@ -694,6 +664,42 @@ class TopNEngine:
         best_ids = best_ids.copy()
         best_ids[~np.isfinite(best_scores)] = PAD_ITEM
         return best_ids, best_scores.astype(np.float64)
+
+    def _whole_block_topn(
+        self,
+        Xb: np.ndarray,
+        n: int,
+        block_users: np.ndarray,
+        exclude: CSRMatrix | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``n`` of a block whose whole score row fits the budget.
+
+        One pass: one GEMM scores the catalog, ``-inf`` lands on the
+        block's seen items straight from the exclusion rows (a scatter,
+        so the order of columns within a row does not matter), one exact
+        threshold selection keeps ``n`` columns per row, and one stable
+        sort over those ``n`` orders them.  The survivors come out
+        column-ascending, so the stable sort on descending score leaves
+        ties in ascending id: the ``(score desc, id asc)`` order of a
+        full lexsort, bit for bit.
+        """
+        S = Xb @ self._Y.T
+        if exclude is not None:
+            _mask_seen(S, exclude, block_users)
+        B, w = S.shape
+        peak = S.nbytes + S.size  # score block plus the selection's mask
+        if peak > self.peak_tile_bytes:
+            self.peak_tile_bytes = peak
+        cols = _select_topn(S, n)
+        # Flat indices into S and then into the (B, n) survivors: one
+        # gather each, where take_along_axis costs a Python wrapper.
+        vals = S.ravel()[cols + (np.arange(0, B * w, w))[:, None]]
+        order = np.argsort(-vals, axis=1, kind="stable")
+        order += np.arange(0, B * n, n)[:, None]
+        ids = cols.ravel()[order]
+        scores = vals.ravel()[order].astype(np.float64, copy=False)
+        ids[~np.isfinite(scores)] = PAD_ITEM
+        return ids, scores
 
 
 def _merge_streaming(
@@ -846,10 +852,25 @@ def _seen_pairs(
         raise IndexError("exclusion row out of range")
     starts = exclude.row_ptr[users]
     lengths = exclude.row_ptr[users + 1] - starts
-    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
     rows = np.repeat(np.arange(users.size, dtype=np.int64), lengths)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    cols = exclude.col_idx[np.repeat(starts, lengths) + offsets]
-    return rows, cols
+    # Pair j of block row r sits at col_idx[starts[r] + j - (ends[r] - lengths[r])].
+    pos = np.arange(total, dtype=np.int64) + (starts - ends + lengths)[rows]
+    return rows, exclude.col_idx[pos]
+
+
+def _mask_seen(S: np.ndarray, exclude: CSRMatrix, users: np.ndarray) -> None:
+    """Write ``-inf`` over every seen ``(block row, item)`` of ``S``.
+
+    A one-user block reads its row as one ``col_idx`` slice; larger
+    blocks gather their pairs with :func:`_seen_pairs`.  Either way it
+    is a scatter, so the order of columns within a row is irrelevant.
+    """
+    if users.size == 1:
+        ptr = exclude.row_ptr
+        u = int(users[0])
+        S[0, exclude.col_idx[ptr[u] : ptr[u + 1]]] = -np.inf
+    else:
+        rows, cols = _seen_pairs(exclude, users)
+        S[rows, cols] = -np.inf

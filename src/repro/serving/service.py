@@ -32,13 +32,13 @@ over many independent k-sized problems — applies to serving verbatim:
   see :mod:`repro.serving.foldin`), then atomically install the new
   state.  A user fold-in or a rating update derives it from the served
   one (:meth:`~repro.serving.engine.TopNEngine.derive`: only the
-  changed rows are cast, checked and keyed); an item fold-in rebuilds
-  it.  No retrain, no downtime.
+  changed rows are cast and checked); an item fold-in rebuilds it.  No
+  retrain, no downtime.
 * **Atomic hot-swap.**  All mutable state lives in one immutable
   :class:`ModelState`; workers read the reference once per batch, so a
   request is served *entirely* from one generation — pre-swap or
   post-swap, never a torn mixture.  :meth:`hot_swap` builds the new
-  state completely (engine constructed, exclusion keys attached) before
+  state completely (engine constructed and its factors checked) before
   the single reference assignment that publishes it.
 
 :class:`ServiceEndpoint` exposes the service over stdlib HTTP (the
@@ -360,8 +360,14 @@ class RecommendService:
         n_max = max(r.n for r in batch)
         result = state.engine.query(users, n=n_max, exclude=state.exclude)
         done = perf_counter()
+        # One conversion each hands out the whole batch as Python values
+        # (what TopNResult.row gives, without a per-element int/float).
+        items = result.items.tolist()
+        scores = result.scores.tolist()
+        lengths = result.lengths.tolist()
         for pos, req in enumerate(batch):
-            row = tuple(result.row(pos)[: req.n])
+            keep = min(req.n, lengths[pos])
+            row = tuple(zip(items[pos][:keep], scores[pos][:keep]))
             res = ServeResult(req.user, req.n, row, state.generation, False)
             self._cache_put(state.generation, req.user, req.n, res)
             req.future.set_result(res)
@@ -541,9 +547,7 @@ class RecommendService:
                 else:
                     exclude = rec._train_csr if self.exclude_seen else None
                     engine = old.engine.derive(
-                        rec.model.X[rows],
-                        rows=None if mode == "append" else rows,
-                        exclude=exclude,
+                        rec.model.X[rows], rows=None if mode == "append" else rows
                     )
                     state = ModelState(generation, engine, exclude)
             except ValueError:
@@ -581,8 +585,6 @@ class RecommendService:
         rec = self._rec if rec is None else rec
         exclude = rec._train_csr if self.exclude_seen else None
         engine = TopNEngine.from_model(rec.model, **self._engine_kwargs)
-        if isinstance(exclude, CSRMatrix):
-            engine.attach_exclusion(exclude)  # pre-warm the sorted keys
         return ModelState(generation=generation, engine=engine, exclude=exclude)
 
     def _install_state(self, generation: int, rec=None) -> int:

@@ -3,12 +3,13 @@
 A user fold-in appends rows to the served engine and an update replaces
 the affected rows (``TopNEngine.derive``): the result must hold exactly
 what a fresh ``_build_state`` over the recommender would — the same
-cast ``X`` bit for bit and the same exclusion keys, including when a
-fold-in takes the key space past int32.  A derived row the engine
-refuses leaves the old state, its generation and the recommender
-serving.  An update carries the cached answers of every unaffected user
-to the new generation, drops the affected users' answers, and an answer
-computed from the pre-update state never becomes servable after it.
+cast ``X`` bit for bit, and exclusion keys built lazily after the write
+equal to a fresh build's, including when a fold-in takes the key space
+past int32.  A derived row the engine refuses leaves the old state, its
+generation and the recommender serving.  An update carries the cached
+answers of every unaffected user to the new generation, drops the
+affected users' answers, and an answer computed from the pre-update
+state never becomes servable after it.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ def _assert_fresh(svc: RecommendService) -> None:
     assert served._Y is not None and np.array_equal(served._Y, fresh._Y)
     exclude = svc._state.exclude
     assert exclude is svc._rec._train_csr
-    keys, kd = served._exclusion_keys(exclude)
+    keys, kd = served._exclusion_keys(exclude)  # built lazily if absent
     ref_keys, ref_kd = fresh._exclusion_keys(exclude)
-    assert served._excl_cache[0] is exclude  # derived, not rebuilt lazily
     assert kd is ref_kd and keys.dtype == ref_keys.dtype
     assert np.array_equal(keys, ref_keys)
 
@@ -129,9 +129,7 @@ class TestDerivedEngine:
         X, (old, keys, _) = engine._X.copy(), engine._excl_cache
         keys = keys.copy()
         rec.update_ratings(_updates(rng, [2, 3]))
-        derived = engine.derive(
-            rec.model.X[[2, 3]], rows=np.array([2, 3]), exclude=rec._train_csr
-        )
+        derived = engine.derive(rec.model.X[[2, 3]], rows=np.array([2, 3]))
         assert derived is not engine and derived._Y is engine._Y
         assert np.array_equal(engine._X, X)
         assert engine._excl_cache[0] is old
@@ -140,7 +138,8 @@ class TestDerivedEngine:
     @pytest.mark.parametrize("append", [True, False])
     def test_unsorted_new_rows_are_keyed_as_a_fresh_build(self, rng, append):
         """A directly built exclusion CSR may list a row's columns out of
-        order; the derived keys must still be the sorted fresh ones."""
+        order; the keys a derived engine builds lazily must still be the
+        sorted fresh ones."""
         base = CSRMatrix.from_coo(COOMatrix(
             (4, 10), np.array([0, 1, 1, 3]), np.array([2, 0, 7, 5]),
             np.ones(4, np.float32),
@@ -160,9 +159,10 @@ class TestDerivedEngine:
             exclude, X_rows = base.replace_rows(rows, sub), X[[2]]
             X_all = X.copy()
             X_all[1] = X[2]
-        derived = engine.derive(X_rows, rows=rows, exclude=exclude)
+        derived = engine.derive(X_rows, rows=rows)
         fresh = TopNEngine(X_all, Y)
         assert np.array_equal(derived._X, fresh._X)
+        assert derived._excl_cache is None
         assert np.array_equal(
             derived._exclusion_keys(exclude)[0], fresh._exclusion_keys(exclude)[0]
         )
@@ -205,7 +205,7 @@ class TestKeyDtypeCrossing:
             np.array([3.0, 1.0], np.float32),
         ))
         assert ids.tolist() == [m]
-        assert svc._state.engine._excl_cache[2] is np.int64
+        assert svc._state.engine._exclusion_keys(svc._state.exclude)[1] is np.int64
         _assert_fresh(svc)
         svc.start()
         try:

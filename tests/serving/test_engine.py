@@ -11,12 +11,16 @@ dot product differently for different operand shapes.)
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.datasets.shardio import build_shard_store
 from repro.serving.engine import (
     DEFAULT_TILE_BYTES,
     PAD_ITEM,
@@ -118,7 +122,14 @@ class TestBitwiseParity:
 
 @st.composite
 def topn_cases(draw):
-    """Small exact-score problems built to stress the tie logic."""
+    """Small exact-score problems built to stress the tie logic.
+
+    Either engine path must meet, among others: one user, ``n`` at or
+    past the catalog, rows whose every item is excluded (PAD fill),
+    exclusion rows stored with unsorted columns, a :class:`ShardedCSR`
+    exclusion, exact ties from integer factors, and float32 scoring
+    (exact here: every score is a small integer).
+    """
     m = draw(st.integers(1, 8))
     n_items = draw(st.integers(1, 48))
     k = draw(st.integers(1, 3))
@@ -129,25 +140,29 @@ def topn_cases(draw):
         for shape in ((m, k), (n_items, k))
     )
     n = draw(st.integers(1, n_items + 3))
-    rows: list[int] = []
+    storage = draw(st.sampled_from(["none", "sorted", "unsorted", "sharded"]))
+    row_ptr = [0]
     cols: list[int] = []
     for u in range(m):
-        profile = draw(st.sampled_from(["empty", "some", "all_but"]))
+        profile = draw(st.sampled_from(["empty", "some", "all_but", "all"]))
         if profile == "empty":
-            seen: set[int] = set()
+            seen: list[int] = []
         elif profile == "some":
-            seen = draw(st.sets(st.integers(0, n_items - 1)))
-        else:  # fewer than n unseen items: the row ends in PAD_ITEM
+            seen = sorted(draw(st.sets(st.integers(0, n_items - 1))))
+        elif profile == "all_but":  # fewer than n unseen: PAD_ITEM tail
             unseen = draw(st.sets(st.integers(0, n_items - 1),
                                   max_size=min(n, n_items) - 1))
-            seen = set(range(n_items)) - unseen
-        rows += [u] * len(seen)
-        cols += sorted(seen)
-    R = CSRMatrix.from_coo(COOMatrix(
-        (m, n_items), np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64), np.ones(len(rows)),
-    ))
-    exclude = R if draw(st.booleans()) else None
+            seen = sorted(set(range(n_items)) - unseen)
+        else:  # every item seen: an all-PAD row
+            seen = list(range(n_items))
+        if storage == "unsorted":
+            seen = draw(st.permutations(seen))
+        cols += seen
+        row_ptr.append(len(cols))
+    R = CSRMatrix(
+        (m, n_items), np.ones(len(cols)), np.array(cols, dtype=np.int64),
+        np.array(row_ptr, dtype=np.int64),
+    )
     users = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1,
                                    max_size=12)), dtype=np.int64)
     user_block = draw(st.integers(1, users.size))
@@ -156,25 +171,47 @@ def topn_cases(draw):
     fits = draw(st.booleans())
     width = draw(st.integers(n_items, n_items + 4) if fits
                  else st.integers(1, n_items))
-    return X, Y, exclude, users, n, user_block, tile_bytes_for(width, user_block)
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    itemsize = np.dtype(dtype).itemsize
+    return (X, Y, R, storage, users, n, user_block,
+            tile_bytes_for(width, user_block, itemsize), dtype)
 
 
 class TestFullSortProperty:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(case=topn_cases())
     def test_engine_and_topn_from_scores_match_full_sort(self, case):
-        X, Y, exclude, users, n, user_block, tile_bytes = case
-        engine = TopNEngine(X, Y, tile_bytes=tile_bytes, dtype="float64",
+        X, Y, R, storage, users, n, user_block, tile_bytes, dtype = case
+        engine = TopNEngine(X, Y, tile_bytes=tile_bytes, dtype=dtype,
                             user_block=user_block)
         single = engine.tile_items(min(user_block, users.size)) >= Y.shape[0]
-        event("single pass" if single else "streaming")
+        path = "single pass" if single else "streaming"
+        event(path)
+        exclude = None if storage == "none" else R
+        ptr = R.row_ptr
+        unsorted = any(np.any(np.diff(R.col_idx[ptr[u]:ptr[u + 1]]) < 0)
+                       for u in users)
+        for label, seen in (
+            ("one user", users.size == 1),
+            ("n >= n_items", n >= Y.shape[0]),
+            ("all-PAD row", exclude is not None
+             and (R.row_lengths()[users] == Y.shape[0]).any()),
+            ("unsorted rows", exclude is not None and unsorted),
+            ("sharded", storage == "sharded"),
+            ("float32", dtype == "float32"),
+        ):
+            if seen:
+                event(f"{path}: {label}")
         ref_ids, ref_scores = full_sort_reference(X, Y, users, n, exclude)
         finite = np.isfinite(ref_scores)
-        got_engine = engine.query(users, n=n, exclude=exclude)
-        got_scores = topn_from_scores(
-            X[users] @ Y.T, n=n, users=users, exclude=exclude,
-            tile_bytes=tile_bytes,
-        )
+        with tempfile.TemporaryDirectory() as tmp:
+            if storage == "sharded":
+                exclude = build_shard_store(Path(tmp) / "s", R).rows
+            got_engine = engine.query(users, n=n, exclude=exclude)
+            got_scores = topn_from_scores(
+                X[users] @ Y.T, n=n, users=users, exclude=exclude,
+                tile_bytes=tile_bytes,
+            )
         for got in (got_engine, got_scores):
             assert np.array_equal(got.items, ref_ids)
             assert np.array_equal(got.scores[finite], ref_scores[finite])

@@ -140,6 +140,27 @@ class TestRequestPath:
             assert f_b.result(10).recommendations == exp7[2]
         assert svc.stats.snapshot()["batches"] == workers + 1
 
+    def test_answers_are_the_batch_rows_as_python_pairs(self, rec):
+        """Each caller gets ``TopNResult.row`` of its slot in the batch's
+        result, cut to its n, as plain ``(int, float)`` pairs — also
+        where a row ends early because its user has seen too much."""
+        with RecommendService(rec, max_batch=8, cache_size=0) as svc:
+            held = HeldEngine(svc)
+            held.hold([0], 3)
+            asks = [(4, 5), (11, N_ITEMS), (4, 2), (30, 1), (7, N_ITEMS - 2)]
+            futures = [svc.submit(u, n) for u, n in asks]
+            held.release()
+            answers = [f.result(10).recommendations for f in futures]
+        users = held.calls[1]
+        assert users == [u for u, _ in asks]
+        ref = TopNEngine.from_model(rec.model).query(
+            np.array(users), n=N_ITEMS, exclude=rec._train_csr
+        )
+        assert len(answers[1]) < N_ITEMS  # user 11's row ends early
+        for pos, ((_, n), answer) in enumerate(zip(asks, answers)):
+            assert answer == tuple(ref.row(pos)[:n])
+            assert all(type(i) is int and type(s) is float for i, s in answer)
+
     def test_unbatched_configuration(self, rec):
         expected = expected_rows(rec, 5)
         with RecommendService(rec, max_batch=1, cache_size=0) as svc:
