@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import ALSConfig, train_als
 from repro.kernels.fastpath import fast_half_sweep, fast_iteration
-from repro.linalg import batched_cholesky_solve, batched_normal_equations
+from repro.linalg import batched_cholesky_solve, binned_normal_equations
 
 K = 10
 LAM = 0.1
@@ -28,14 +28,14 @@ def factors(movielens_small):
 
 def test_bench_normal_equation_assembly(movielens_small, factors, benchmark):
     _, csr, _ = movielens_small
-    A, b = benchmark(batched_normal_equations, csr, factors, LAM)
+    A, b = benchmark(binned_normal_equations, csr, factors, LAM)
     assert A.shape == (csr.nrows, K, K)
     assert np.isfinite(b).all()
 
 
 def test_bench_batched_cholesky(movielens_small, factors, benchmark):
     _, csr, _ = movielens_small
-    A, b = batched_normal_equations(csr, factors, LAM)
+    A, b = binned_normal_equations(csr, factors, LAM)
     x = benchmark(batched_cholesky_solve, A, b)
     np.testing.assert_allclose(
         np.einsum("bij,bj->bi", A, x), b, rtol=1e-6, atol=1e-8

@@ -36,7 +36,6 @@ from repro.core import (
     predict_entries,
     recommend_top_n,
     init_factors,
-    grid_search,
     evaluate_ranking,
     recommend_top_n_batch,
     BLOCK_SCHEDULES,
@@ -107,7 +106,6 @@ __all__ = [
     "predict_entries",
     "recommend_top_n",
     "init_factors",
-    "grid_search",
     "Recommender",
     "evaluate_ranking",
     "recommend_top_n_batch",

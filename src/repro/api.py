@@ -36,6 +36,8 @@ _SAVE_CHUNK_ROWS = 1 << 16
 
 _ALGORITHMS = {"als": train_als, "als-wr": train_als_wr, "implicit": train_implicit_als}
 _CONFIGS = {"als": ALSConfig, "als-wr": ALSConfig, "implicit": ImplicitConfig}
+#: Config keys older checkpoints hold for the retired assembly/S3 variants.
+_RETIRED_CONFIG_KEYS = ("assembly", "solver", "cholesky")
 
 
 def _check_finite(source, X: np.ndarray, Y: np.ndarray) -> None:
@@ -474,9 +476,9 @@ class Recommender:
                 {"iteration": i + 1, "loss": float(h), "train_rmse": None}
                 for i, h in enumerate(history)
             ]
-        cfg = dict(cfg)
-        if cfg.pop("cholesky", True) is False and cfg.get("solver") is None:
-            cfg["solver"] = "gaussian"  # the retired S3 toggle's meaning
+        # Retired code-variant toggles: older files store them, and none
+        # of them changes what the stored factors mean.
+        cfg = {k: v for k, v in cfg.items() if k not in _RETIRED_CONFIG_KEYS}
         rec = cls(algorithm=algorithm)
         rec.config = _CONFIGS[algorithm](**cfg)  # every persisted knob
         model_type = ImplicitModel if algorithm == "implicit" else ALSModel

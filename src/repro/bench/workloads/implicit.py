@@ -15,9 +15,14 @@ from repro.bench import grid
 from repro.core.implicit import implicit_half_sweep
 from repro.datasets.catalog import MOVIELENS1M
 from repro.datasets.synthetic import generate_ratings
-from repro.linalg.normal_equations import DEFAULT_TILE_NNZ, tile_bytes_bound
+from repro.linalg.normal_equations import (
+    DEFAULT_TILE_NNZ,
+    scatter_normal_equations,
+    tile_bytes_bound,
+)
+from repro.linalg.solvers import batched_lapack_solve
 from repro.obs import metrics as obs_metrics
-from repro.obs.spans import capture
+from repro.obs.spans import capture, span
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["resolve", "run_benchmark", "run_cell", "check_record"]
@@ -26,7 +31,21 @@ ALPHA = 40.0
 LAM = 0.1
 
 
-def _time_variant(R, Y, assembly, tile_nnz, repeats):
+def _scatter_half_sweep(R, Y):
+    """:func:`implicit_half_sweep` with the scatter reference assembly:
+    serial, every row primal, one LAPACK solve."""
+    X = np.zeros((R.nrows, Y.shape[1]))
+    rows, sub = R.occupied_submatrix()
+    w = ALPHA * sub.value.astype(np.float64)
+    A, b = scatter_normal_equations(sub, Y, LAM, nnz_weight=w, rhs_nnz_value=w + 1.0)
+    A += Y.T @ Y
+    with span("als.implicit.s3", stage="S3", solver="lapack", k=Y.shape[1],
+              batch=rows.size, form="primal"):
+        X[rows] = batched_lapack_solve(A, b)
+    return X
+
+
+def _time_variant(sweep, repeats):
     """Min-of-N wall time, the S1/S2/S3 span split, gauges and the result."""
     best = float("inf")
     split = {}
@@ -35,10 +54,7 @@ def _time_variant(R, Y, assembly, tile_nnz, repeats):
         obs_metrics.reset()
         with capture() as tracer:
             t0 = perf_counter()
-            X = implicit_half_sweep(
-                R, Y, LAM, ALPHA,
-                assembly=assembly, tile_nnz=tile_nnz, solver="lapack",
-            )
+            X = sweep()
             elapsed = perf_counter() - t0
         result = X
         if elapsed < best:
@@ -78,11 +94,15 @@ def run_benchmark(
         f"tile_nnz={tile_nnz}, repeats={repeats}",
         flush=True,
     )
-    binned, X_binned = _time_variant(R, Y, "binned", tile_nnz, repeats)
+    binned, X_binned = _time_variant(
+        lambda: implicit_half_sweep(R, Y, LAM, ALPHA, tile_nnz=tile_nnz), repeats
+    )
     print(f"  binned  : {binned['total_seconds']:8.3f} s "
           f"(S1 {binned['s1_seconds']:.3f}, S2 {binned['s2_seconds']:.3f}, "
           f"S3 {binned['s3_seconds']:.3f})", flush=True)
-    scatter, X_scatter = _time_variant(R, Y, "scatter", tile_nnz, scatter_repeats)
+    scatter, X_scatter = _time_variant(
+        lambda: _scatter_half_sweep(R, Y), scatter_repeats
+    )
     print(f"  scatter : {scatter['total_seconds']:8.3f} s "
           f"(S1 {scatter['s1_seconds']:.3f}, S2 {scatter['s2_seconds']:.3f}, "
           f"S3 {scatter['s3_seconds']:.3f})", flush=True)

@@ -53,10 +53,10 @@ Usage::
                                    # any command can expose its live
                                    # registry on an HTTP endpoint
 
-The knob flags ``--assembly``, ``--tile-nnz``, ``--assembly-dtype``,
-``--solver``, ``--workers``, ``--tile-bytes``, ``--serve-dtype`` and
-``--shard-bytes`` configure the knobs of :mod:`repro.knobs` (each also
-has a ``REPRO_*`` environment variable); a bad value exits 2.  Each
+The knob flags ``--tile-nnz``, ``--assembly-dtype``, ``--workers``,
+``--tile-bytes``, ``--serve-dtype`` and ``--shard-bytes`` configure the
+knobs of :mod:`repro.knobs` (each also has a ``REPRO_*`` environment
+variable); a bad value exits 2.  Each
 knob has a fixed default; none is measured at run time.  Training can
 descend on column subspaces instead of full k-wide rows: ``--block-size
 D`` sets the iALS++ block width (a positive integer; a bad value exits
@@ -77,7 +77,6 @@ from repro.datasets.synthetic import degree_sequences
 from repro.kernels.opencl_source import generate_program
 from repro.kernels.variants import recommended_variant
 from repro.knobs import table as knob_table
-from repro.linalg.solvers import SOLVER_MODES
 
 __all__ = ["main"]
 
@@ -318,7 +317,6 @@ def _run_profile(ns: argparse.Namespace) -> int:
             scale=ns.scale,
             seed=ns.seed,
             algorithm=ns.algorithm,
-            solver=ns.solver,
             workers=ns.workers,
             alpha=ns.alpha,
         )
@@ -544,10 +542,14 @@ def _run_serve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser; each knob flag's dest is its knob's name."""
     parser = argparse.ArgumentParser(
         prog="repro-als",
         description="Reproduce the IPDPSW'17 portable-ALS evaluation.",
+        # No prefix matching: a retired flag such as --assembly must not
+        # resolve to --assembly-dtype.
+        allow_abbrev=False,
     )
     parser.add_argument(
         "command",
@@ -596,20 +598,12 @@ def main(argv: list[str] | None = None) -> int:
         "--top", type=int, default=10, help="profile: top-N spans to print (default 10)"
     )
     parser.add_argument(
-        "--assembly", default=None, choices=("binned", "scatter"),
-        help="S1/S2 assembly code variant (default: binned)",
-    )
-    parser.add_argument(
         "--tile-nnz", default=None, metavar="N",
         help="assembly tile budget: max non-zeros gathered per tile",
     )
     parser.add_argument(
         "--assembly-dtype", default=None, choices=("float32", "float64"),
         help="assembly compute precision (accumulation stays float64)",
-    )
-    parser.add_argument(
-        "--solver", default=None, choices=SOLVER_MODES,
-        help="S3 batched-solve code variant (default: lapack)",
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",
@@ -734,9 +728,11 @@ def main(argv: list[str] | None = None) -> int:
         help="perf-gate: fail records with no comparable baseline instead "
         "of skipping them",
     )
-    ns = parser.parse_args(argv)
+    return parser
 
-    # Each knob flag's dest is its knob's name.
+
+def main(argv: list[str] | None = None) -> int:
+    ns = _parser().parse_args(argv)
     for knob in knob_table():
         value = getattr(ns, knob.name, None)
         if value is not None:

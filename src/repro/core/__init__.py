@@ -32,7 +32,6 @@ from repro.core.subspace import (
     subspace_iteration,
     validate_block_size,
 )
-from repro.core.tuning import GridPoint, GridSearchResult, grid_search
 
 __all__ = [
     "BLOCK_SCHEDULES",
@@ -60,7 +59,4 @@ __all__ = [
     "ImplicitModel",
     "implicit_half_sweep",
     "train_implicit_als",
-    "GridPoint",
-    "GridSearchResult",
-    "grid_search",
 ]

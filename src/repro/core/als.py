@@ -28,8 +28,7 @@ from repro.core.subspace import (
     subspace_iteration,
     validate_block_size,
 )
-from repro.linalg.normal_equations import ASSEMBLY, ASSEMBLY_DTYPE, TILE_NNZ
-from repro.linalg.solvers import SOLVER
+from repro.linalg.normal_equations import ASSEMBLY_DTYPE, TILE_NNZ
 from repro.parallel.executor import WORKERS, SweepExecutor
 from repro.obs import metrics as obs_metrics
 from repro.obs.resource import minor_faults
@@ -71,10 +70,8 @@ class ALSConfig:
     # Code-variant knobs (§III-D analogue): each field is the explicit
     # argument of the knob of the same name; None defers to the knob's
     # configured, env or default value (repro.knobs).
-    assembly: str | None = None  # "binned" | "scatter"
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
-    solver: str | None = None  # S3: "lapack" | "cholesky" | "gaussian"
     # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
     # threads (default serial).
     workers: int | str | None = None
@@ -103,10 +100,8 @@ class ALSConfig:
         if self.tol > 0 and not self.track_loss:
             raise ValueError("tol-based stopping requires track_loss")
         for knob, value in (
-            (ASSEMBLY, self.assembly),
             (TILE_NNZ, self.tile_nnz),
             (ASSEMBLY_DTYPE, self.assembly_dtype),
-            (SOLVER, self.solver),
             (WORKERS, self.workers),
         ):
             if value is not None:
@@ -212,7 +207,7 @@ class _Objective:
     """What sets one ALS variant apart inside Algorithm 1's loop.
 
     ``sweep_kw`` rides into every half-sweep and block update next to
-    the config's solver/assembly knobs: ``weighted=True`` selects
+    the config's assembly knobs: ``weighted=True`` selects
     ALS-WR's ``λ·n_u`` regularizer, ``implicit_alpha`` the implicit
     kernel (whose full half-sweeps also get the fixed side's ``FᵀF``).
     ``loss(view, X, Y, config, predictions)`` returns ``(loss,
@@ -284,7 +279,6 @@ def _train(
 
         inplace = config.factors == "memmap"
         sweep_kw = dict(
-            solver=config.solver, assembly=config.assembly,
             tile_nnz=config.tile_nnz, compute_dtype=config.assembly_dtype,
             **objective.sweep_kw,
         )

@@ -29,8 +29,6 @@ def weighted_half_sweep(
     Y: np.ndarray,
     lam: float,
     X_prev: np.ndarray | None = None,
-    solver: str | None = None,
-    assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
 ) -> np.ndarray:
@@ -39,8 +37,8 @@ def weighted_half_sweep(
         raise ValueError("lam must be positive")
     with SweepExecutor(1) as ex:
         return ex.half_sweep(
-            R, Y, lam, X_prev=X_prev, weighted=True, solver=solver,
-            assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+            R, Y, lam, X_prev=X_prev, weighted=True,
+            tile_nnz=tile_nnz, compute_dtype=compute_dtype,
         )
 
 

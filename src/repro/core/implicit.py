@@ -22,18 +22,19 @@ machinery the explicit path uses:
   :mod:`repro.linalg.normal_equations` (per-nnz weight vector; the
   ``(nnz, k, k)`` intermediate is gone and peak scratch is bounded by
   the ``tile_nnz`` budget / ``REPRO_TILE_NNZ``);
-* S3 goes through the :mod:`repro.linalg.solvers` registry (LAPACK-class
-  batched Cholesky by default), with the shared ``YᵀY`` broadcast kept;
+* S3 is one batched LAPACK solve per sweep group
+  (:mod:`repro.linalg.solvers`), with the shared ``YᵀY`` broadcast kept;
 * half-sweeps shard over :class:`repro.parallel.SweepExecutor` with the
   same bitwise-equal-to-serial guarantee as explicit ALS (weights derive
   from each shard's own values);
 * instrumented runs emit ``als.implicit.s1``/``s3`` spans (the binned
-  S1 span carries the fused S2; the scatter reference adds
-  ``als.implicit.s2``) plus the ``assembly.implicit.peak_tile_bytes``
-  gauge.
+  S1 span carries the fused S2) plus the
+  ``assembly.implicit.peak_tile_bytes`` gauge.
 
-The retained scatter reference is one knob away (``assembly="scatter"``)
-for parity tests and ``benchmarks/bench_implicit.py``.
+The scatter kernel stays as the weighted reference
+(:func:`~repro.linalg.normal_equations.scatter_normal_equations` with
+``nnz_weight``) for parity tests and ``benchmarks/bench_implicit.py``;
+no sweep runs it.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ def implicit_half_sweep(
     lam: float,
     alpha: float,
     *,
-    solver: str | None = None,
-    assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
     executor: SweepExecutor | None = None,
@@ -117,8 +116,7 @@ def implicit_half_sweep(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     kw = dict(
-        implicit_alpha=float(alpha), solver=solver, assembly=assembly,
-        tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        implicit_alpha=float(alpha), tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     if executor is not None:
         return _half_sweep(executor, R, Y, lam, None, out, kw)

@@ -10,7 +10,7 @@ much faster per wall-second.  This module is the schedule layer: it
 walks the column blocks of the factor matrices and drives the existing
 degree-binned, tile-budgeted kernels (:func:`sweep_occupied` with
 ``col_block``) through the shared :class:`SweepExecutor`, which keeps
-every downstream optimization — binned assembly, solver registry,
+every downstream optimization — binned assembly, batched LAPACK solve,
 nnz-balanced sharding, blocked out-of-core streaming — in play
 unchanged.
 
@@ -305,7 +305,7 @@ def subspace_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One training iteration as a sequence of subspace block updates.
 
-    ``sweep_kw`` carries the trainer's solver/assembly knobs (plus
+    ``sweep_kw`` carries the trainer's assembly knobs (plus
     ``weighted=True`` for ALS-WR, or ``implicit_alpha`` for the implicit
     trainer) verbatim into :meth:`SweepExecutor.half_sweep`.  ``state``
     carries the per-rating predictions (and

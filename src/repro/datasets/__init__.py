@@ -17,7 +17,6 @@ from repro.datasets.loaders import (
     load_ratings,
     save_ratings,
 )
-from repro.datasets.matrixmarket import load_matrix_market, save_matrix_market
 from repro.datasets.planted import PlantedProblem, planted_problem
 from repro.datasets.shardio import build_shard_store, build_store_from_rating_file
 from repro.datasets.splits import TrainTestSplit, train_test_split
@@ -44,8 +43,6 @@ __all__ = [
     "save_ratings",
     "build_shard_store",
     "build_store_from_rating_file",
-    "load_matrix_market",
-    "save_matrix_market",
     "PlantedProblem",
     "planted_problem",
     "TrainTestSplit",

@@ -20,12 +20,10 @@ import numpy as np
 
 from repro.linalg.normal_equations import (
     SolveGroup,
-    batched_normal_equations,
+    binned_normal_equations,
     binned_solve_groups,
-    resolve_assembly,
-    scatter_normal_equations,
 )
-from repro.linalg.solvers import resolve_solver, solver_fn
+from repro.linalg.solvers import batched_lapack_solve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix
@@ -38,8 +36,6 @@ def sweep_occupied(
     Y: np.ndarray,
     lam: float,
     weighted: bool = False,
-    solver: str | None = None,
-    assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
     implicit_alpha: float | None = None,
@@ -58,15 +54,16 @@ def sweep_occupied(
     ``weighted=True`` applies ALS-WR's per-row ridge ``λ·|Ω_u|·I``
     instead of the uniform ``λ I``.
 
-    With the binned assembly, an explicit row whose degree bin is
-    narrower than the system width ``d`` solves the exact dual system
+    An explicit row whose degree bin is narrower than the system width
+    ``d`` solves the exact dual system
     ``(Y_Ω Y_Ωᵀ + ρI) α = r`` and returns ``x = Y_Ωᵀ α``
     (:func:`~repro.linalg.normal_equations.binned_solve_groups`); the
     dual systems solve in a few width groups, each one S3 span with
     ``form="dual"``.  The groups stream: each is assembled in its own S1
     span, solved, written into ``X_rows`` and freed before the next is
-    assembled, so a sweep holds one group's systems at a time.  Scatter
-    assembly keeps every row primal.
+    assembled, so a sweep holds one group's systems at a time.  Each
+    group is solved by one :func:`~repro.linalg.solvers.batched_lapack_solve`
+    call.
 
     ``implicit_alpha`` switches to the implicit-feedback (Hu–Koren)
     update: the assembly computes the confidence-weighted correction
@@ -135,11 +132,10 @@ def sweep_occupied(
         rv = w + 1.0
         if blocked:
             rv = rv - w * complement
-        A, b = batched_normal_equations(
+        A, b = binned_normal_equations(
             sub,
             Yb,
             lam=lam,
-            mode=assembly,
             tile_nnz=tile_nnz,
             compute_dtype=compute_dtype,
             nnz_weight=w,
@@ -164,33 +160,25 @@ def sweep_occupied(
         # ALS-WR's ridge scales with the *full-row* degree, which a block
         # update leaves unchanged — the same λ·|Ω_u| lands on each system.
         ridge = lam * sub.row_lengths().astype(np.float64) if weighted else lam
-        if resolve_assembly(assembly) == "binned":
-            groups = binned_solve_groups(
-                sub, Yb, ridge, tile_nnz=tile_nnz,
-                compute_dtype=compute_dtype, rhs_nnz_value=rv,
-            )
-        else:
-            A, b = scatter_normal_equations(sub, Yb, 0.0, rhs_nnz_value=rv)
-            idx = np.arange(d)
-            A[:, idx, idx] += np.reshape(ridge, (-1, 1))
-            groups = [SolveGroup("primal", np.arange(rows.size), A, b)]
+        groups = binned_solve_groups(
+            sub, Yb, ridge, tile_nnz=tile_nnz,
+            compute_dtype=compute_dtype, rhs_nnz_value=rv,
+        )
     if is_enabled():
         obs_metrics.inc("als.sweep.rows", rows.size)
         obs_metrics.inc("sparse.nnz_touched", R.nnz)
         if blocked:
             obs_metrics.inc("subspace.block_updates")
             obs_metrics.set_gauge("subspace.block_size", d)
-    solver_name = resolve_solver(solver)
-    solve = solver_fn(solver_name)
     s3_name = "als.implicit.s3" if implicit else "als.s3.solve"
     X_rows = np.empty((rows.size, d), dtype=np.float64)
     for g in groups:
-        with span(s3_name, stage="S3", solver=solver_name, k=g.width,
+        with span(s3_name, stage="S3", solver="lapack", k=g.width,
                   batch=g.rows.size, form=g.form):
-            obs_metrics.inc(f"solver.{solver_name}.calls")
+            obs_metrics.inc("solver.lapack.calls")
             if g.form == "dual":
                 obs_metrics.inc("als.sweep.dual_rows", g.rows.size)
-            X_rows[g.rows] = g.factors(solve(g.A, g.b))
+            X_rows[g.rows] = g.factors(batched_lapack_solve(g.A, g.b))
         # Free the solved group before the generator assembles the next.
         del g
     return rows, X_rows
@@ -201,8 +189,6 @@ def fast_half_sweep(
     Y: np.ndarray,
     lam: float,
     X_prev: np.ndarray | None = None,
-    solver: str | None = None,
-    assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
 ) -> np.ndarray:
@@ -212,9 +198,8 @@ def fast_half_sweep(
     ``omegaSize > 0`` guard does: they keep their previous value
     (``X_prev``), or zero when no previous factors are given.
 
-    ``solver`` selects the S3 variant (``lapack``/``cholesky``/
-    ``gaussian``) and ``assembly``/``tile_nnz``/``compute_dtype`` the
-    S1/S2 code variant (see :func:`batched_normal_equations`); ``None``
+    ``tile_nnz``/``compute_dtype`` set the binned assembly's tile budget
+    and compute precision (see :func:`binned_normal_equations`); ``None``
     defers to the knob (:mod:`repro.knobs`).
 
     A :class:`~repro.sparse.shards.ShardedCSR` ``R`` runs the blocked
@@ -230,8 +215,8 @@ def fast_half_sweep(
 
         with SweepExecutor(1) as ex:
             return ex.half_sweep(
-                R, Y, lam, X_prev=X_prev, solver=solver,
-                assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+                R, Y, lam, X_prev=X_prev,
+                tile_nnz=tile_nnz, compute_dtype=compute_dtype,
             )
     m = R.nrows
     k = Y.shape[1]
@@ -241,8 +226,7 @@ def fast_half_sweep(
             raise ValueError(f"X_prev must have shape {(m, k)}")
         X[:] = X_prev
     rows, X_rows = sweep_occupied(
-        R, Y, lam, solver=solver,
-        assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        R, Y, lam, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     X[rows] = X_rows
     return X
@@ -254,8 +238,6 @@ def fast_iteration(
     X: np.ndarray,
     Y: np.ndarray,
     lam: float,
-    solver: str | None = None,
-    assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +247,11 @@ def fast_iteration(
     view the paper uses for the Y update (§III-A).
     """
     X_new = fast_half_sweep(
-        R_rows, Y, lam, X_prev=X, solver=solver,
-        assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        R_rows, Y, lam, X_prev=X,
+        tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     Y_new = fast_half_sweep(
-        R_cols, X_new, lam, X_prev=Y, solver=solver,
-        assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        R_cols, X_new, lam, X_prev=Y,
+        tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     return X_new, Y_new

@@ -1,10 +1,9 @@
 """The host's execution-context knobs: one table, one precedence rule.
 
 The paper picks a code variant per execution context (§III-D).  On the
-host, nine such choices are process-wide knobs: the assembly variant,
-tile budget and precision, the S3 solver, the sweep workers, the
-serving tile budget, precision and user block, and the out-of-core
-shard budget.  Each is one :class:`Knob`, declared beside the code it
+host, seven such choices are process-wide knobs: the assembly tile
+budget and precision, the sweep workers, the serving tile budget,
+precision and user block, and the out-of-core shard budget.  Each is one :class:`Knob`, declared beside the code it
 steers, and every one resolves the same way:
 
 1. an explicit argument (a function parameter or config field);
@@ -29,7 +28,6 @@ __all__ = ["Knob", "at_least", "effective", "reset", "table"]
 #: The modules whose import declares the knobs.
 _DECLARED_IN = (
     "repro.linalg.normal_equations",
-    "repro.linalg.solvers",
     "repro.parallel.executor",
     "repro.serving.engine",
     "repro.sparse.shards",
@@ -115,7 +113,7 @@ def effective(**arguments: Any) -> dict[str, tuple[Any, str]]:
     """``{name: (value, source)}`` for every knob.
 
     ``arguments`` are explicit per-knob values (e.g. a run's config
-    fields, ``solver=config.solver``); ``None`` means "not given".
+    fields, ``workers=config.workers``); ``None`` means "not given".
     """
     knobs = table()
     unknown = set(arguments) - {k.name for k in knobs}

@@ -19,20 +19,11 @@ from repro.linalg.cholesky import (
     backward_substitution,
 )
 from repro.linalg.gaussian import gaussian_solve, batched_gaussian_solve
-from repro.linalg.solvers import (
-    SOLVER_MODES,
-    SOLVERS,
-    batched_lapack_solve,
-    lapack_cholesky_factor,
-    configure_solver,
-    resolve_solver,
-    solver_fn,
-)
+from repro.linalg.solvers import batched_lapack_solve, lapack_cholesky_factor
 from repro.linalg.normal_equations import (
     assemble_gram,
     assemble_rhs,
     assembly_defaults,
-    batched_normal_equations,
     binned_normal_equations,
     configure_assembly,
     scatter_normal_equations,
@@ -42,13 +33,8 @@ from repro.linalg.normal_equations import (
 __all__ = [
     "CholeskyError",
     "as_float64_stack",
-    "SOLVER_MODES",
-    "SOLVERS",
     "batched_lapack_solve",
     "lapack_cholesky_factor",
-    "configure_solver",
-    "resolve_solver",
-    "solver_fn",
     "cholesky_factor",
     "cholesky_solve",
     "batched_cholesky_factor",
@@ -60,7 +46,6 @@ __all__ = [
     "assemble_gram",
     "assemble_rhs",
     "assembly_defaults",
-    "batched_normal_equations",
     "binned_normal_equations",
     "configure_assembly",
     "scatter_normal_equations",

@@ -8,32 +8,28 @@ For each row ``u`` with rated item set Ω_u, ALS solves
 rows of ``Y`` — note line 6's loop bound ``omegaSize``: the Gram sum runs
 over the non-zeros of row ``u``, not over all of ``Y``.
 
-Two batched assembly strategies are provided, mirroring the paper's code
-variants:
+The sweep assembles with the analogue of the paper's *thread batching*
+(:func:`binned_normal_equations`, :func:`binned_solve_groups`): rows are
+grouped by degree (:meth:`CSRMatrix.degree_bins`), each bin gathers a
+dense ``(rows, width, k)`` block of ``Y`` and reduces it with one
+batched GEMM (``Gᵀ G``), tiled so peak scratch never exceeds an nnz
+budget — the tile budget plays the role of the paper's bounded
+local-memory working set.  S2 is fused into S1: each tile's RHS is
+reduced from the same gathered block (``Gᵀ r``), the way the paper's
+local-memory variant stages ``Y_Ω`` once for both steps, so ``Y`` is
+read once per half-sweep.  An optional float32 compute mode mirrors the
+paper's single-precision kernels (§IV); the RHS reduction and the
+accumulation into the returned ``A``/``b`` stay float64.  The
+``tile_nnz`` and ``assembly_dtype`` knobs (:mod:`repro.knobs`) set the
+budget and the compute mode.
 
-* ``scatter`` — the historical vectorized reference: materialize every
-  per-rating outer product ``y_i y_iᵀ`` as an ``(nnz, k, k)`` tensor and
-  scatter-add it row-wise with ``np.add.at``.  Simple, but the
-  intermediate grows with ``nnz · k²`` and ``np.add.at`` pays per-element
-  dispatch — the Python analogue of the divergent one-thread-per-row
-  kernel the paper starts from (SAC15 baseline).
-* ``binned`` — the analogue of the paper's *thread batching*: rows are
-  grouped by degree (:meth:`CSRMatrix.degree_bins`), each bin gathers a
-  dense ``(rows, width, k)`` block of ``Y`` and reduces it with one
-  batched GEMM (``Gᵀ G``), tiled so peak scratch never exceeds an
-  nnz budget — the tile budget plays the role of the paper's bounded
-  local-memory working set.  S2 is fused into S1: each tile's RHS is
-  reduced from the same gathered block (``Gᵀ r``), the way the paper's
-  local-memory variant stages ``Y_Ω`` once for both steps, so ``Y`` is
-  read once per half-sweep.  An optional float32 compute mode mirrors
-  the paper's single-precision kernels (§IV); the RHS reduction and
-  the accumulation into the returned ``A``/``b`` stay float64.
-
-``batched_normal_equations`` dispatches between them through the
-``assembly``, ``tile_nnz`` and ``assembly_dtype`` knobs (resolved by
-:mod:`repro.knobs`).  Binned beats scatter at every measured shape, so
-no runtime measurement picks between them: scatter is the test oracle
-and the §V-C comparator.
+:func:`scatter_normal_equations` is the historical vectorized reference:
+it materializes every per-rating outer product ``y_i y_iᵀ`` as an
+``(nnz, k, k)`` tensor and scatter-adds it row-wise with ``np.add.at`` —
+the Python analogue of the divergent one-thread-per-row kernel the paper
+starts from (SAC15 baseline).  Binned beat it 274× on the full ML-1M shape
+at k = 64 (BENCH_2), so no sweep runs it: it is the test
+oracle and the ``assembly``/``implicit`` grid workloads' comparator.
 
 The explicit sweep does not assemble every row's k×k system:
 :func:`binned_solve_groups` gives a row whose degree bin is narrower than
@@ -68,7 +64,6 @@ from repro.sparse.csr import BinLanes, CSRMatrix
 __all__ = [
     "assemble_gram",
     "assemble_rhs",
-    "batched_normal_equations",
     "binned_normal_equations",
     "binned_solve_groups",
     "dual_width",
@@ -77,12 +72,10 @@ __all__ = [
     "complement_predictions",
     "GramCache",
     "configure_assembly",
-    "resolve_assembly",
     "assembly_defaults",
     "tile_bytes_bound",
     "DEFAULT_TILE_NNZ",
     "DEFAULT_BIN_GROWTH",
-    "ASSEMBLY_MODES",
 ]
 
 #: Default cap on non-zeros gathered per tile (~256 MB of float64 scratch
@@ -93,8 +86,6 @@ DEFAULT_TILE_NNZ = 1 << 19
 #: than 25% share a (padded) bin, bounding both padding waste and the
 #: number of bins (geometric in the max degree).
 DEFAULT_BIN_GROWTH = 1.25
-
-ASSEMBLY_MODES = ("binned", "scatter")
 
 _COMPUTE_DTYPES = ("float32", "float64")
 
@@ -120,12 +111,6 @@ def _as_float(Y: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-def _validate_mode(mode: str) -> str:
-    if mode not in ASSEMBLY_MODES:
-        raise ValueError(f"assembly mode must be one of {ASSEMBLY_MODES}, got {mode!r}")
-    return mode
-
-
 def _validate_dtype(compute_dtype: object) -> str:
     """A compute precision (its name, or a float dtype) as its name."""
     name = compute_dtype
@@ -138,30 +123,23 @@ def _validate_dtype(compute_dtype: object) -> str:
     return name
 
 
-ASSEMBLY = Knob("assembly", "REPRO_ASSEMBLY", "binned", _validate_mode)
 TILE_NNZ = Knob("tile_nnz", "REPRO_TILE_NNZ", DEFAULT_TILE_NNZ, at_least())
 ASSEMBLY_DTYPE = Knob(
     "assembly_dtype", "REPRO_ASSEMBLY_DTYPE", "float64", _validate_dtype
 )
 
-resolve_assembly = ASSEMBLY.resolve
-
 
 def configure_assembly(
-    mode: str | None = None,
-    tile_nnz: int | None = None,
-    compute_dtype: object | None = None,
+    tile_nnz: int | None = None, compute_dtype: object | None = None
 ) -> None:
-    """Configure all three assembly knobs; ``None`` resets a knob."""
-    ASSEMBLY.configure(mode)
+    """Configure both assembly knobs; ``None`` resets a knob."""
     TILE_NNZ.configure(tile_nnz)
     ASSEMBLY_DTYPE.configure(compute_dtype)
 
 
 def assembly_defaults() -> dict[str, object]:
-    """The currently resolved (mode, tile_nnz, compute_dtype) defaults."""
+    """The currently resolved (tile_nnz, compute_dtype) defaults."""
     return {
-        "mode": ASSEMBLY.resolve(),
         "tile_nnz": TILE_NNZ.resolve(),
         "compute_dtype": ASSEMBLY_DTYPE.resolve(),
     }
@@ -252,7 +230,7 @@ def scatter_normal_equations(
     nnz_weight: np.ndarray | None = None,
     rhs_nnz_value: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The legacy ``np.add.at`` assembly, kept as baseline and fallback.
+    """The legacy ``np.add.at`` assembly, kept as baseline and test oracle.
 
     Materializes the full ``(nnz, k, k)`` outer-product tensor and
     scatter-adds it — memory and time both scale with ``nnz · k²``, which
@@ -260,7 +238,7 @@ def scatter_normal_equations(
     ``benchmarks/bench_assembly.py`` measures it against).  With
     ``nnz_weight`` this is the retained SAC15-style implicit reference
     the parity tests and ``benchmarks/bench_implicit.py`` compare
-    against.
+    against.  No sweep calls it.
     """
     Y = _as_float(Y, np.float64)
     m = R.nrows
@@ -688,39 +666,6 @@ def _dual_block(
     K[:, :width, :width] = G @ G.transpose(0, 2, 1)
     r[:, :width] = rt
     return G
-
-
-def batched_normal_equations(
-    R: CSRMatrix,
-    Y: np.ndarray,
-    lam: float,
-    *,
-    mode: str | None = None,
-    tile_nnz: int | None = None,
-    compute_dtype: object | None = None,
-    nnz_weight: np.ndarray | None = None,
-    rhs_nnz_value: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble ``(smat, svec)`` for every row of ``R`` at once.
-
-    Returns ``A`` of shape (m, k, k) and ``b`` of shape (m, k).  Rows with
-    no ratings get ``A = λI`` and ``b = 0`` so downstream batched solvers
-    stay regular; the ALS driver leaves such rows at zero, matching
-    Algorithm 2's ``omegaSize > 0`` guard.
-
-    ``mode`` picks the code variant (``binned``/``scatter``); an unset
-    ``mode``/``tile_nnz``/``compute_dtype`` takes its knob's value
-    (:mod:`repro.knobs`).  ``nnz_weight`` /
-    ``rhs_nnz_value`` select the confidence-weighted (implicit) kernel.
-    """
-    if resolve_assembly(mode) == "scatter":
-        return scatter_normal_equations(
-            R, Y, lam, nnz_weight=nnz_weight, rhs_nnz_value=rhs_nnz_value
-        )
-    return binned_normal_equations(
-        R, Y, lam, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
-        nnz_weight=nnz_weight, rhs_nnz_value=rhs_nnz_value,
-    )
 
 
 def complement_predictions(

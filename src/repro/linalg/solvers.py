@@ -1,53 +1,35 @@
-"""S3 solver variants: one registry for the batched normal-equation solve.
+"""The S3 batched solve: one LAPACK call per solve group.
 
 The paper's S3 is the per-row ``smat x = svec`` solve; §V-C compares a
 Gaussian-elimination kernel against the Cholesky method and keeps the
-latter.  This module is where those code variants live on the host side:
+latter.  The host measured the same question (``cholesky`` and
+``gaussian`` ran 3.5–14× slower than this path, BENCH_3) and keeps one
+path: the whole occupied ``(batch, k, k)`` stack is solved by one
+``np.linalg.solve`` gufunc call — a LAPACK ``dgesv`` (LU with partial
+pivoting) per system, with the GIL released and no Python loop.  LU
+costs twice the flops of Cholesky, but at ALS widths a host S3 group is
+bound by per-call overhead, not arithmetic (see docs/performance.md
+§S3).  A system with NaN or inf entries raises :class:`CholeskyError`;
+an exactly singular one (never, for the ridge-regularized normal
+equations) gets a counted least-squares answer instead of aborting its
+batch.
 
-* ``lapack`` — the default.  The whole occupied ``(batch, k, k)`` stack
-  is solved by one ``np.linalg.solve`` gufunc call: a LAPACK ``dgesv``
-  (LU with partial pivoting) per system, with the GIL released and no
-  Python loop.  LU costs twice the flops of Cholesky, but at ALS widths
-  a host S3 group is bound by per-call overhead, not arithmetic (see
-  docs/performance.md §S3).  A system with NaN or inf entries raises
-  :class:`CholeskyError`; an exactly singular one (never, for the
-  ridge-regularized normal equations) gets a counted least-squares
-  answer instead of aborting its batch.
-* ``cholesky`` — the from-scratch reference (:mod:`repro.linalg.cholesky`).
-  Loops over the k columns with Python-level einsum dispatches: faithful
-  to the paper's hand-written kernel, but ~3·k interpreter round-trips
-  per half-sweep.  Kept as the test oracle.
-* ``gaussian`` — from-scratch LU with partial pivoting, the §V-C
-  comparison point (~2× the flops of Cholesky on SPD systems).
-
-The ``solver`` knob (:mod:`repro.knobs`) names the variant a sweep uses.
+The from-scratch references stay as plain functions for tests and the
+``solve`` grid workload: :func:`repro.linalg.cholesky.batched_cholesky_solve`
+(the paper's hand-written kernel) and
+:func:`repro.linalg.gaussian.batched_gaussian_solve` (the §V-C
+comparison point).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.linalg.cholesky import (
-    CholeskyError,
-    as_float64_stack,
-    batched_cholesky_solve,
-)
-from repro.knobs import Knob
-from repro.linalg.gaussian import batched_gaussian_solve
+from repro.linalg.cholesky import CholeskyError, as_float64_stack
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled
 
-__all__ = [
-    "SOLVER_MODES",
-    "SOLVERS",
-    "batched_lapack_solve",
-    "lapack_cholesky_factor",
-    "configure_solver",
-    "resolve_solver",
-    "solver_fn",
-]
+__all__ = ["batched_lapack_solve", "lapack_cholesky_factor"]
 
 
 def lapack_cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -170,29 +152,3 @@ def _solve_with_fallback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         obs_metrics.inc("solver.lapack.fallback_systems", singular)
     return x
 
-
-#: name -> batched solve ``(A, b) -> x`` over ``(batch, k, k)`` stacks.
-SOLVERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "cholesky": batched_cholesky_solve,
-    "gaussian": batched_gaussian_solve,
-    "lapack": batched_lapack_solve,
-}
-
-#: Names accepted by ``ALSConfig.solver`` / ``--solver`` / ``REPRO_SOLVER``.
-SOLVER_MODES = tuple(SOLVERS)
-
-
-def _validate_solver(name: str) -> str:
-    if name not in SOLVER_MODES:
-        raise ValueError(f"solver must be one of {SOLVER_MODES}, got {name!r}")
-    return name
-
-
-SOLVER = Knob("solver", "REPRO_SOLVER", "lapack", _validate_solver)
-configure_solver = SOLVER.configure
-resolve_solver = SOLVER.resolve
-
-
-def solver_fn(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The batched solve for a solver name."""
-    return SOLVERS[_validate_solver(name)]

@@ -79,8 +79,7 @@ class ProfileReport:
     def _meta(self) -> dict:
         c = self.config
         knobs = effective(
-            assembly=c.assembly, tile_nnz=c.tile_nnz,
-            assembly_dtype=c.assembly_dtype, solver=c.solver, workers=c.workers,
+            tile_nnz=c.tile_nnz, assembly_dtype=c.assembly_dtype, workers=c.workers,
         )
         meta = {
             "dataset": self.spec.abbr,
@@ -110,7 +109,6 @@ def profile_training(
     scale: float | None = None,
     seed: int = 7,
     algorithm: str = "als",
-    solver: str | None = None,
     workers: int | str | None = None,
     alpha: float = 40.0,
 ) -> ProfileReport:
@@ -133,7 +131,7 @@ def profile_training(
     extra = {"alpha": alpha} if algorithm == "implicit" else {}
     config = _CONFIGS[algorithm](
         k=k, lam=lam, iterations=iterations, seed=seed,
-        solver=solver, workers=workers, **extra,
+        workers=workers, **extra,
     )
 
     obs_metrics.reset()

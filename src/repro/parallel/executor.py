@@ -142,8 +142,6 @@ class SweepExecutor:
         lam: float,
         X_prev: np.ndarray | None = None,
         weighted: bool = False,
-        solver: str | None = None,
-        assembly: str | None = None,
         tile_nnz: int | None = None,
         compute_dtype: object | None = None,
         implicit_alpha: float | None = None,
@@ -208,8 +206,7 @@ class SweepExecutor:
         if gram_complement is not None and len(gram_complement) != R.nrows:
             raise ValueError(f"gram_complement must have {R.nrows} rows")
         kernel_kw = dict(
-            weighted=weighted, solver=solver,
-            assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+            weighted=weighted, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
             implicit_alpha=implicit_alpha, base_gram=base_gram,
             col_block=col_block,
         )

@@ -340,18 +340,6 @@ class TopNEngine:
     # ------------------------------------------------------------------
     # exclusion-key cache
     # ------------------------------------------------------------------
-    def attach_exclusion(self, exclude: CSRMatrix | None) -> None:
-        """Pre-build (or drop, with ``None``) the cached exclusion keys.
-
-        A tiled ``query()`` (a block wider than the tile budget) builds
-        the cache lazily on first use, so this is an optional warm-up or
-        invalidation hook for callers that run tiled queries against one
-        exclusion matrix.  Request-sized blocks never read the keys.
-        """
-        self._excl_cache = None
-        if isinstance(exclude, CSRMatrix):
-            self._exclusion_keys(exclude)
-
     def _exclusion_keys(
         self, exclude: CSRMatrix
     ) -> tuple[np.ndarray, type]:

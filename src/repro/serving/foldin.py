@@ -9,14 +9,14 @@ is exactly one ridge system
 Fold-in therefore reuses the whole training substrate unchanged: the
 new rows' equations are assembled through the binned/tiled S1/S2
 kernels (:func:`repro.kernels.fastpath.sweep_occupied`) and solved in
-batched S3 calls through the solver registry — an explicit row with
+batched LAPACK S3 calls — an explicit row with
 fewer ratings than k in its exact n×n dual form, exactly as training
 solves it.  Nothing is approximated, and nothing existing is touched:
 the basis factors stay fixed and only the new rows are computed.
 
 Because degree bins come from a fixed geometric grid (a row's padded
 width is a function of its own degree, never of which rows share the
-batch) and the batched S3 solvers are per-system independent, the
+batch) and the batched S3 solve is per-system independent, the
 folded factors are **bitwise identical** to the corresponding rows of a
 fresh serial half-sweep over the augmented matrix — the invariant the
 parallel sweep executor already relies on, now carried to serving time.
@@ -94,8 +94,6 @@ def fold_in_factors(
     algorithm: str = "als",
     alpha: float | None = None,
     *,
-    solver: str | None = None,
-    assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
     gram: np.ndarray | None = None,
@@ -128,10 +126,7 @@ def fold_in_factors(
             f"{basis.shape[0]} rows"
         )
     k = basis.shape[1]
-    kw: dict = dict(
-        solver=solver, assembly=assembly, tile_nnz=tile_nnz,
-        compute_dtype=compute_dtype,
-    )
+    kw: dict = dict(tile_nnz=tile_nnz, compute_dtype=compute_dtype)
     with span(
         "serve.fold_in", algorithm=algorithm, rows=R_new.nrows, nnz=R_new.nnz
     ):

@@ -58,24 +58,19 @@ class TestNonFiniteFit:
         occupied_users = int(np.count_nonzero(
             CSRMatrix.from_coo(train).row_lengths()
         ))
-        solver_fn = fastpath.solver_fn
+        solve = fastpath.batched_lapack_solve
         solved = [0]
 
-        def poisoned_solver_fn(name):
-            solve = solver_fn(name)
+        def poisoned_solve(A, b):
+            x = solve(A, b)
+            # Past the user half-sweep's rows: an item system, whose
+            # answer no later solve reads (one iteration).
+            if solved[0] >= occupied_users:
+                x[0] = np.nan
+            solved[0] += A.shape[0]
+            return x
 
-            def run(A, b):
-                x = solve(A, b)
-                # Past the user half-sweep's rows: an item system, whose
-                # answer no later solve reads (one iteration).
-                if solved[0] >= occupied_users:
-                    x[0] = np.nan
-                solved[0] += A.shape[0]
-                return x
-
-            return run
-
-        monkeypatch.setattr(fastpath, "solver_fn", poisoned_solver_fn)
+        monkeypatch.setattr(fastpath, "batched_lapack_solve", poisoned_solve)
         rec = Recommender(k=3, iterations=1, algorithm=algorithm)
         with pytest.raises(ValueError, match=r"^fit: non-finite value in factor Y, row \d+$"):
             rec.fit(train)

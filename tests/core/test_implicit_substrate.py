@@ -1,10 +1,10 @@
 """Parity and bounded-memory tests for implicit ALS on the tiled substrate.
 
 The implicit half-sweep now rides the degree-binned, nnz-tile-budgeted
-weighted assembly; the legacy scatter kernel stays reachable via
-``assembly="scatter"`` as the reference.  These tests pin the contract:
+weighted assembly; the legacy scatter kernel stays as the reference
+(:mod:`tests.oracle`).  These tests pin the contract:
 
-* binned-weighted matches the scatter reference to 1e-10, per half-sweep
+* binned-weighted matches the scatter oracle to 1e-10, per half-sweep
   and end-to-end through ``train_implicit_als``;
 * ``workers=N`` reproduces the serial result **bitwise**;
 * peak assembly scratch respects ``tile_bytes_bound(..., weighted=True)``
@@ -20,10 +20,11 @@ import pytest
 
 from repro.core import ImplicitConfig, train_implicit_als
 from repro.core.implicit import implicit_half_sweep
-from repro.linalg import tile_bytes_bound
+from repro.linalg import scatter_normal_equations, tile_bytes_bound
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
 from repro.sparse import COOMatrix, CSRMatrix
+from tests.oracle import oracle_fit, oracle_half_sweep
 
 
 def _skewed_counts(rng: np.random.Generator, m: int = 48, n: int = 30) -> CSRMatrix:
@@ -39,27 +40,23 @@ class TestHalfSweepParity:
     def test_binned_matches_scatter_reference(self, rng):
         R = _skewed_counts(rng)
         Y = rng.standard_normal((R.ncols, 7))
-        ref = implicit_half_sweep(R, Y, 0.1, 25.0, assembly="scatter")
-        out = implicit_half_sweep(R, Y, 0.1, 25.0, assembly="binned")
+        ref = oracle_half_sweep(R, Y, 0.1, implicit_alpha=25.0)
+        out = implicit_half_sweep(R, Y, 0.1, 25.0)
         np.testing.assert_allclose(out, ref, atol=1e-10, rtol=0)
 
     def test_tiny_tile_budget_matches_untiled(self, rng):
         R = _skewed_counts(rng)
         Y = rng.standard_normal((R.ncols, 5))
-        full = implicit_half_sweep(R, Y, 0.1, 10.0, assembly="binned")
-        tiled = implicit_half_sweep(
-            R, Y, 0.1, 10.0, assembly="binned", tile_nnz=16
-        )
+        full = implicit_half_sweep(R, Y, 0.1, 10.0)
+        tiled = implicit_half_sweep(R, Y, 0.1, 10.0, tile_nnz=16)
         np.testing.assert_allclose(tiled, full, atol=1e-10, rtol=0)
 
     def test_parallel_bitwise_equals_serial(self, rng):
         R = _skewed_counts(rng, m=64)
         Y = rng.standard_normal((R.ncols, 6))
-        serial = implicit_half_sweep(R, Y, 0.1, 40.0, solver="lapack")
+        serial = implicit_half_sweep(R, Y, 0.1, 40.0)
         for workers in (2, 5):
-            par = implicit_half_sweep(
-                R, Y, 0.1, 40.0, solver="lapack", workers=workers
-            )
+            par = implicit_half_sweep(R, Y, 0.1, 40.0, workers=workers)
             assert np.array_equal(par, serial)
 
     def test_rejects_nonpositive_alpha(self, rng):
@@ -76,16 +73,16 @@ class TestEndToEndParity:
 
     def test_training_binned_matches_scatter(self, rng):
         counts = self._counts(rng)
-        kw = dict(k=4, iterations=3, alpha=20.0, seed=3)
-        ref = train_implicit_als(counts, ImplicitConfig(assembly="scatter", **kw))
-        out = train_implicit_als(counts, ImplicitConfig(assembly="binned", **kw))
-        np.testing.assert_allclose(out.X, ref.X, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(out.Y, ref.Y, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(out.losses(), ref.losses(), rtol=1e-10)
+        out = train_implicit_als(
+            counts, ImplicitConfig(k=4, iterations=3, alpha=20.0, seed=3)
+        )
+        X, Y = oracle_fit(counts, k=4, iterations=3, seed=3, implicit_alpha=20.0)
+        np.testing.assert_allclose(out.X, X, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(out.Y, Y, atol=1e-10, rtol=0)
 
     def test_training_parallel_bitwise(self, rng):
         counts = self._counts(rng)
-        kw = dict(k=4, iterations=3, alpha=20.0, seed=3, solver="lapack")
+        kw = dict(k=4, iterations=3, alpha=20.0, seed=3)
         serial = train_implicit_als(counts, ImplicitConfig(**kw))
         par = train_implicit_als(counts, ImplicitConfig(workers=4, **kw))
         assert np.array_equal(par.X, serial.X)
@@ -106,7 +103,7 @@ class TestBoundedMemoryAndSpans:
         tile_nnz = 64
         with capture():
             obs_metrics.reset()
-            implicit_half_sweep(R, Y, 0.1, 30.0, assembly="binned", tile_nnz=tile_nnz)
+            implicit_half_sweep(R, Y, 0.1, 30.0, tile_nnz=tile_nnz)
             snap = obs_metrics.snapshot()
         peak = snap["gauges"]["assembly.implicit.peak_tile_bytes"]
         assert 0 < peak <= tile_bytes_bound(tile_nnz, 8, weighted=True)
@@ -123,7 +120,7 @@ class TestBoundedMemoryAndSpans:
         Y = rng2.standard_normal((R.ncols, k))
         with capture():
             obs_metrics.reset()
-            implicit_half_sweep(R, Y, 0.1, 10.0, assembly="binned", tile_nnz=32)
+            implicit_half_sweep(R, Y, 0.1, 10.0, tile_nnz=32)
             peak = obs_metrics.snapshot()["gauges"][
                 "assembly.implicit.peak_tile_bytes"
             ]
@@ -134,15 +131,17 @@ class TestBoundedMemoryAndSpans:
         R = _skewed_counts(rng, m=16, n=10)
         Y = rng.standard_normal((R.ncols, 3))
         with capture() as tracer:
-            implicit_half_sweep(R, Y, 0.1, 5.0, assembly="binned")
+            implicit_half_sweep(R, Y, 0.1, 5.0)
         names = {r.name for r in tracer.records}
         # Binned S2 runs fused inside the S1 span.
         assert {"als.implicit.s1", "als.implicit.s3"} <= names
         assert "als.implicit.s2" not in names
+        # The weighted scatter reference times S2 on its own.
+        w = np.ones(R.nnz)
         with capture() as tracer:
-            implicit_half_sweep(R, Y, 0.1, 5.0, assembly="scatter")
+            scatter_normal_equations(R, Y, 0.1, nnz_weight=w, rhs_nnz_value=w)
         names = {r.name for r in tracer.records}
-        assert {"als.implicit.s1", "als.implicit.s2", "als.implicit.s3"} <= names
+        assert names == {"als.implicit.s1", "als.implicit.s2"}
 
     def test_explicit_spans_unchanged(self, rng):
         """The weighted kernels must not rename the explicit path's spans."""
@@ -152,7 +151,7 @@ class TestBoundedMemoryAndSpans:
         Y = rng.standard_normal((R.ncols, 3))
         with capture() as tracer:
             fast_half_sweep(R, Y, 0.1)
-            fast_half_sweep(R, Y, 0.1, assembly="scatter")
+            scatter_normal_equations(R, Y, 0.1)
         names = {r.name for r in tracer.records}
         assert {"als.s1.gram", "als.s2.rhs", "als.s3.solve"} <= names
         assert not any(n.startswith("als.implicit") for n in names)
@@ -160,20 +159,17 @@ class TestBoundedMemoryAndSpans:
 
 class TestConfigKnobs:
     def test_accepts_substrate_knobs(self):
-        cfg = ImplicitConfig(
-            assembly="binned", tile_nnz=1024, assembly_dtype="float32",
-            solver="lapack", workers=2,
-        )
-        assert cfg.assembly == "binned"
+        cfg = ImplicitConfig(tile_nnz=1024, assembly_dtype="float32", workers=2)
+        assert cfg.tile_nnz == 1024
         assert cfg.workers == 2
 
     @pytest.mark.parametrize(
         "kw",
         [
-            {"assembly": "magic"},
             {"tile_nnz": 0},
+            {"tile_nnz": "many"},
             {"assembly_dtype": "float16"},
-            {"solver": "qr"},
+            {"assembly_dtype": "int8"},
             {"workers": 0},
             {"workers": "sometimes"},
         ],

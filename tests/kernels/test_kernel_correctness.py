@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.clsim.costmodel import OptFlags
 from repro.kernels import fast_half_sweep, interpreted_half_sweep
 from repro.kernels.variants import all_variants
+from repro.linalg.gaussian import batched_gaussian_solve
 from repro.sparse import CSRMatrix
+from tests.oracle import oracle_half_sweep
 
 LAM = 0.1
 
@@ -113,8 +115,8 @@ class TestFastPath:
     def test_gaussian_matches_cholesky(self):
         R, Y = _problem(seed=8)
         np.testing.assert_allclose(
-            fast_half_sweep(R, Y, LAM, solver="gaussian"),
-            fast_half_sweep(R, Y, LAM, solver="lapack"),
+            oracle_half_sweep(R, Y, LAM, solve=batched_gaussian_solve),
+            oracle_half_sweep(R, Y, LAM),
             rtol=1e-8,
             atol=1e-10,
         )

@@ -23,7 +23,7 @@ import repro.kernels.fastpath as fastpath
 import repro.linalg.normal_equations as ne
 from repro.kernels.fastpath import sweep_occupied
 from repro.linalg.normal_equations import binned_solve_groups, tile_bytes_bound
-from repro.linalg.solvers import solver_fn
+from repro.linalg.solvers import batched_lapack_solve
 from repro.obs.spans import capture
 from repro.sparse import CSRMatrix
 
@@ -61,10 +61,9 @@ def test_group_order(shard):
 def test_streamed_sweep_equals_the_groups_solved_at_once(shard):
     R, Y = shard
     rows, X = sweep_occupied(R, Y, 0.5)
-    solve = solver_fn("lapack")
     ref = np.empty_like(X)
     for g in list(binned_solve_groups(R, Y, 0.5)):
-        ref[g.rows] = g.factors(solve(g.A, g.b))
+        ref[g.rows] = g.factors(batched_lapack_solve(g.A, g.b))
     assert np.array_equal(rows, np.arange(R.nrows))
     assert np.array_equal(X, ref)
 
@@ -83,14 +82,9 @@ def test_previous_group_is_dead_when_the_next_is_assembled(shard, monkeypatch):
             f"a solved group's gather alive at step {n}"
         )
 
-    def spy_solver(name):
-        solve = solver_fn(name)
-
-        def recording(A, b):
-            solved.append(weakref.ref(A))
-            return solve(A, b)
-
-        return recording
+    def spy_solve(A, b):
+        solved.append(weakref.ref(A))
+        return batched_lapack_solve(A, b)
 
     dual_block, gram_tiles = ne._dual_block, ne._gram_tiles
 
@@ -104,7 +98,7 @@ def test_previous_group_is_dead_when_the_next_is_assembled(shard, monkeypatch):
         check_previous_groups_dead()
         return gram_tiles(*args, **kwargs)
 
-    monkeypatch.setattr(fastpath, "solver_fn", spy_solver)
+    monkeypatch.setattr(fastpath, "batched_lapack_solve", spy_solve)
     monkeypatch.setattr(ne, "_dual_block", spy_dual_block)
     monkeypatch.setattr(ne, "_gram_tiles", spy_gram_tiles)
     sweep_occupied(R, Y, 0.5)

@@ -11,7 +11,6 @@ from repro.linalg import (
     assemble_gram,
     assemble_rhs,
     assembly_defaults,
-    batched_normal_equations,
     binned_normal_equations,
     configure_assembly,
     scatter_normal_equations,
@@ -223,71 +222,43 @@ class TestTileBudget:
 
 
 class TestDispatchAndConfig:
-    def test_mode_argument_selects_variant(self, small_ratings, rng):
-        Y = rng.standard_normal((small_ratings.ncols, 4))
-        A_b, b_b = batched_normal_equations(small_ratings, Y, 0.1, mode="binned")
-        A_s, b_s = batched_normal_equations(small_ratings, Y, 0.1, mode="scatter")
-        np.testing.assert_allclose(A_b, A_s, atol=1e-12)
-        np.testing.assert_allclose(b_b, b_s, atol=1e-12)
-
-    def test_auto_mode_rejected(self, small_ratings, rng, monkeypatch):
-        # No runtime measurement picks the assembly: "auto" is not a mode.
-        Y = rng.standard_normal((small_ratings.ncols, 4))
-        with pytest.raises(ValueError):
-            batched_normal_equations(small_ratings, Y, 0.1, mode="auto")
-        monkeypatch.setenv("REPRO_ASSEMBLY", "auto")
-        with pytest.raises(ValueError):
-            batched_normal_equations(small_ratings, Y, 0.1)
-
-    def test_unknown_mode_rejected(self, small_ratings, rng):
-        with pytest.raises(ValueError):
-            batched_normal_equations(
-                small_ratings, rng.standard_normal((small_ratings.ncols, 2)), 0.1,
-                mode="magic",
-            )
-
     def test_defaults_resolve_builtin(self):
         d = assembly_defaults()
-        assert d == {
-            "mode": "binned",
-            "tile_nnz": DEFAULT_TILE_NNZ,
-            "compute_dtype": "float64",
-        }
+        assert d == {"tile_nnz": DEFAULT_TILE_NNZ, "compute_dtype": "float64"}
 
     def test_configure_assembly_installs_and_resets(self):
-        configure_assembly(mode="scatter", tile_nnz=77, compute_dtype="float32")
-        assert assembly_defaults() == {
-            "mode": "scatter",
-            "tile_nnz": 77,
-            "compute_dtype": "float32",
-        }
+        configure_assembly(tile_nnz=77, compute_dtype="float32")
+        assert assembly_defaults() == {"tile_nnz": 77, "compute_dtype": "float32"}
         configure_assembly()
-        assert assembly_defaults()["mode"] == "binned"
+        assert assembly_defaults() == {
+            "tile_nnz": DEFAULT_TILE_NNZ, "compute_dtype": "float64",
+        }
 
     def test_configure_assembly_validates(self):
-        with pytest.raises(ValueError):
-            configure_assembly(mode="magic")
         with pytest.raises(ValueError):
             configure_assembly(tile_nnz=0)
         with pytest.raises(ValueError):
             configure_assembly(compute_dtype="float16")
 
     def test_environment_overrides(self, monkeypatch, small_ratings, rng):
-        monkeypatch.setenv("REPRO_ASSEMBLY", "scatter")
         monkeypatch.setenv("REPRO_TILE_NNZ", "123")
         monkeypatch.setenv("REPRO_ASSEMBLY_DTYPE", "float32")
         d = assembly_defaults()
-        assert d == {"mode": "scatter", "tile_nnz": 123, "compute_dtype": "float32"}
+        assert d == {"tile_nnz": 123, "compute_dtype": "float32"}
         # configure_assembly wins over the environment...
-        configure_assembly(mode="binned")
-        assert assembly_defaults()["mode"] == "binned"
+        configure_assembly(compute_dtype="float64")
+        assert assembly_defaults()["compute_dtype"] == "float64"
         # ...and the explicit argument wins over both.
         Y = rng.standard_normal((small_ratings.ncols, 3))
-        A, _ = batched_normal_equations(small_ratings, Y, 0.1, mode="binned")
-        assert A.shape == (small_ratings.nrows, 3, 3)
+        A_env, _ = binned_normal_equations(small_ratings, Y, 0.1)
+        A_arg, _ = binned_normal_equations(
+            small_ratings, Y, 0.1, compute_dtype="float32"
+        )
+        assert A_env.shape == (small_ratings.nrows, 3, 3)
+        assert not np.array_equal(A_env, A_arg)
 
     def test_bad_environment_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLY", "nope")
+        monkeypatch.setenv("REPRO_ASSEMBLY_DTYPE", "nope")
         with pytest.raises(ValueError):
             assembly_defaults()
 

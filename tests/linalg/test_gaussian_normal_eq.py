@@ -11,7 +11,7 @@ from repro.linalg import (
     assemble_gram,
     assemble_rhs,
     batched_gaussian_solve,
-    batched_normal_equations,
+    binned_normal_equations,
     gaussian_solve,
 )
 from repro.sparse import CSRMatrix
@@ -85,7 +85,7 @@ class TestNormalEquations:
 
     def test_batched_matches_per_row(self, small_ratings, rng):
         Y = rng.standard_normal((small_ratings.ncols, 5))
-        A, b = batched_normal_equations(small_ratings, Y, 0.1)
+        A, b = binned_normal_equations(small_ratings, Y, 0.1)
         for u in range(small_ratings.nrows):
             cols, vals = small_ratings.row_slice(u)
             np.testing.assert_allclose(A[u], assemble_gram(Y, cols, 0.1), rtol=1e-8)
@@ -98,20 +98,20 @@ class TestNormalEquations:
         dense[0, 1] = 2.0
         R = CSRMatrix.from_dense(dense)
         Y = np.ones((4, 3))
-        A, b = batched_normal_equations(R, Y, 0.7)
+        A, b = binned_normal_equations(R, Y, 0.7)
         np.testing.assert_allclose(A[1], 0.7 * np.eye(3))
         np.testing.assert_allclose(b[1], np.zeros(3))
 
     def test_shape_mismatch_rejected(self, small_ratings, rng):
         with pytest.raises(ValueError):
-            batched_normal_equations(small_ratings, rng.standard_normal((3, 5)), 0.1)
+            binned_normal_equations(small_ratings, rng.standard_normal((3, 5)), 0.1)
 
     def test_duplicate_ratings_summed_consistently(self, rng):
         # A row with repeated column patterns accumulates outer products.
         dense = np.array([[2.0, 3.0, 0.0]], dtype=np.float32)
         R = CSRMatrix.from_dense(dense)
         Y = rng.standard_normal((3, 2))
-        A, b = batched_normal_equations(R, Y, 0.0)
+        A, b = binned_normal_equations(R, Y, 0.0)
         expect = np.outer(Y[0], Y[0]) + np.outer(Y[1], Y[1])
         np.testing.assert_allclose(A[0], expect, rtol=1e-8)
 

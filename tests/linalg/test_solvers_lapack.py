@@ -1,4 +1,4 @@
-"""Tests for the S3 solver registry and the LAPACK-class batched solve."""
+"""Tests for the LAPACK-class batched S3 solve and its references."""
 
 from __future__ import annotations
 
@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 
 from repro.linalg import (
     CholeskyError,
-    SOLVER_MODES,
-    SOLVERS,
     as_float64_stack,
     batched_cholesky_solve,
     batched_gaussian_solve,
     batched_lapack_solve,
-    configure_solver,
     lapack_cholesky_factor,
-    resolve_solver,
-    solver_fn,
 )
 from repro.core.als import ALSConfig, train_als
 from repro.obs import metrics as obs_metrics
@@ -191,9 +186,8 @@ class TestNonFiniteInput:
             batched_lapack_solve(A, b)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("solver", ["lapack", None])
     def test_nan_factor_fails_a_training_half_sweep(
-        self, rng, monkeypatch, solver, workers
+        self, rng, monkeypatch, workers
     ):
         import repro.core.als as als_module
 
@@ -207,7 +201,7 @@ class TestNonFiniteInput:
         monkeypatch.setattr(als_module, "init_factors", poisoned_init)
         R = random_rating_matrix(rng, m=20, n=8, density=0.6)
         assert R.to_dense()[:, 1].any()
-        cfg = ALSConfig(k=3, iterations=1, solver=solver, workers=workers)
+        cfg = ALSConfig(k=3, iterations=1, workers=workers)
         with pytest.raises(CholeskyError, match="non-finite"):
             train_als(R, cfg)
 
@@ -234,35 +228,6 @@ class TestAsFloat64Stack:
     def test_wrong_ndim_rejected(self):
         with pytest.raises(ValueError, match="3-D"):
             as_float64_stack(np.ones((2, 2)), 3)
-
-
-class TestRegistryAndResolution:
-    def test_registry_covers_concrete_modes(self):
-        assert set(SOLVERS) == set(SOLVER_MODES) - {"auto"}
-
-    def test_solver_fn_unknown_name(self):
-        with pytest.raises(ValueError, match="newton"):
-            solver_fn("newton")
-
-    def test_resolve_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "gaussian")
-        configure_solver("cholesky")
-        assert resolve_solver("lapack") == "lapack"
-
-    def test_resolve_configured_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "gaussian")
-        configure_solver("lapack")
-        assert resolve_solver() == "lapack"
-
-    def test_resolve_legacy_bool_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert resolve_solver() == "lapack"
-
-    def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_solver("qr")
-        with pytest.raises(ValueError):
-            configure_solver("qr")
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,21 +6,19 @@ import pytest
 
 from repro.core.als import ALSConfig, train_als
 from repro.datasets.planted import planted_problem
+from repro.linalg.normal_equations import scatter_normal_equations
 from repro.obs import hotspot
 from repro.obs.spans import Tracer, capture
-
-
-def _train_records(**knobs):
-    problem = planted_problem(m=80, n=60, rank=3, density=0.3, seed=5)
-    with capture() as tracer:
-        train_als(problem.ratings, ALSConfig(k=4, lam=0.05, iterations=3, **knobs))
-    return tuple(tracer.records)
+from repro.sparse import CSRMatrix
 
 
 @pytest.fixture(scope="module")
 def run_records():
     """Spans from a real (small) instrumented training run."""
-    return _train_records()
+    problem = planted_problem(m=80, n=60, rank=3, density=0.3, seed=5)
+    with capture() as tracer:
+        train_als(problem.ratings, ALSConfig(k=4, lam=0.05, iterations=3))
+    return tuple(tracer.records)
 
 
 class TestStageBreakdown:
@@ -35,12 +33,21 @@ class TestStageBreakdown:
             assert stages[stage].calls == 6
             assert stages[stage].seconds > 0
 
-    def test_scatter_keeps_all_three_stages(self):
-        stages = hotspot.stage_breakdown(_train_records(assembly="scatter"))
+    def test_scatter_keeps_all_three_stages(self, rng):
+        """The scatter reference times S1 and S2 apart: no fused label."""
+        R = planted_problem(m=80, n=60, rank=3, density=0.3, seed=5).ratings
+        R = CSRMatrix.from_coo(R.deduplicate())
+        Y = rng.standard_normal((R.ncols, 4))
+        with capture() as tracer:
+            for _ in range(6):
+                scatter_normal_equations(R, Y, 0.05)
+        stages = hotspot.stage_breakdown(tracer.records)
+        assert set(stages) == {"S1", "S2", "S3"}
         assert not stages["S1"].rhs_fused and stages["S1"].label == "S1"
-        for stat in stages.values():
-            assert stat.calls == 6
-            assert stat.seconds > 0
+        for stage in ("S1", "S2"):
+            assert stages[stage].calls == 6
+            assert stages[stage].seconds > 0
+        assert stages["S3"].calls == 0
 
     def test_stages_sum_to_sweep_total(self, run_records):
         """S1+S2+S3 ≈ the parent half-sweep span (small residual only)."""

@@ -68,7 +68,7 @@ class TestProfileTraining:
         # Every knob, with the value the run used and where it came from.
         knobs = payload["meta"]["knobs"]
         assert set(knobs) == {k.name for k in knob_table()}
-        assert knobs["solver"] == {"value": "lapack", "source": "default"}
+        assert knobs["assembly_dtype"] == {"value": "float64", "source": "default"}
         assert all(
             set(entry) == {"value", "source"}
             and entry["source"] in {"argument", "configured", "env", "default"}

@@ -92,9 +92,9 @@ class TestBitwiseDeterminism:
 
     def test_lapack_solver_is_bitwise_serial(self, ratings_matrix, rng):
         Y = rng.standard_normal((ratings_matrix.ncols, 8))
-        serial = fast_half_sweep(ratings_matrix, Y, 0.1, solver="lapack")
+        serial = fast_half_sweep(ratings_matrix, Y, 0.1)
         with SweepExecutor(4) as executor:
-            parallel = executor.half_sweep(ratings_matrix, Y, 0.1, solver="lapack")
+            parallel = executor.half_sweep(ratings_matrix, Y, 0.1)
         assert np.array_equal(serial, parallel)
 
     def test_empty_rows_keep_previous_value(self, ratings_matrix, rng):
@@ -202,19 +202,12 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             ALSConfig(k=2, lam=0.1, iterations=1, workers="several")
 
-    def test_config_rejects_bad_solver(self):
-        with pytest.raises(ValueError):
-            ALSConfig(k=2, lam=0.1, iterations=1, solver="qr")
-
-    def test_config_solver_reaches_the_sweep(self):
+    def test_training_solves_through_lapack(self):
         spec = MOVIELENS1M.scaled(0.001)
         ratings = generate_ratings(spec, seed=1)
         obs_metrics.reset()
         with capture():
-            train_als(
-                ratings,
-                ALSConfig(k=3, lam=0.1, iterations=1, seed=1, solver="lapack"),
-            )
+            train_als(ratings, ALSConfig(k=3, lam=0.1, iterations=1, seed=1))
         counters = obs_metrics.snapshot()["counters"]
         assert counters["solver.lapack.calls"] >= 2.0
 

@@ -125,7 +125,7 @@ class TestDerivedEngine:
     def test_derive_leaves_the_source_engine_untouched(self, rng):
         rec = _fitted("als")
         engine = TopNEngine.from_model(rec.model)
-        engine.attach_exclusion(rec._train_csr)
+        engine._exclusion_keys(rec._train_csr)
         X, (old, keys, _) = engine._X.copy(), engine._excl_cache
         keys = keys.copy()
         rec.update_ratings(_updates(rng, [2, 3]))
@@ -146,7 +146,7 @@ class TestDerivedEngine:
         ))
         X, Y = rng.standard_normal((4, 3)), rng.standard_normal((10, 3))
         engine = TopNEngine(X, Y)
-        engine.attach_exclusion(base)
+        engine._exclusion_keys(base)
         if append:
             new = CSRMatrix((1, 10), np.ones(3, np.float32),
                             np.array([8, 1, 4]), np.array([0, 3]))

@@ -438,10 +438,9 @@ class TestResultContract:
 
 
 class TestExclusionKeyCache:
-    def test_attach_prewarms_and_reuses_by_identity(self, problem):
+    def test_keys_are_reused_by_identity(self, problem):
         X, Y, R = problem
         engine = TopNEngine(X, Y)
-        engine.attach_exclusion(R)
         keys_a, kd_a = engine._exclusion_keys(R)
         keys_b, kd_b = engine._exclusion_keys(R)
         assert keys_a is keys_b and kd_a is kd_b  # no rebuild per query
@@ -455,8 +454,6 @@ class TestExclusionKeyCache:
         keys_b, _ = engine._exclusion_keys(other)
         assert keys_b is not keys_a
         assert np.array_equal(keys_a, keys_b)
-        engine.attach_exclusion(None)
-        assert engine._excl_cache is None
 
     def test_cached_path_matches_oracle_across_queries(self, problem):
         """Steady-state serving: repeated queries reuse the sorted keys
@@ -464,7 +461,7 @@ class TestExclusionKeyCache:
         X, Y, R = problem
         engine = TopNEngine(X, Y, tile_bytes=tile_bytes_for(29, 64),
                             user_block=64)
-        engine.attach_exclusion(R)
+        engine._exclusion_keys(R)
         for users in (np.arange(X.shape[0]), np.arange(0, X.shape[0], 7)):
             ref_ids, ref_scores = full_sort_reference(X, Y, users, 10, R)
             got = engine.query(users, n=10, exclude=R)
